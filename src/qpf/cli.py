@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from qpf import __version__
 from qpf.complexity import (
     ComplexityParams,
@@ -30,8 +28,7 @@ from qpf.grid import (
     network_stats,
     solve_dc,
 )
-from qpf.hhl import HHLConfig, build_hhl_circuit, choose_scaling, eigendecompose, run_hhl
-from qpf.hhl import _pad_system  # noqa: F401  (shared padding rule)
+from qpf.hhl import HHLConfig, plan_hhl, run_hhl
 from qpf.qsim import metrics as circuit_metrics
 
 
@@ -175,12 +172,8 @@ def _cmd_stats(args) -> str:
 
 
 def _cmd_metrics(args) -> str:
-    network = _load(args)
-    system = build_reduced_system(network)
-    b, p, _beta = _pad_system(np.asarray(system.b, float), np.asarray(system.p, float))
-    eig = eigendecompose(b)
-    scaling = choose_scaling(eig, args.alpha)
-    circuit = build_hhl_circuit(eig, p / np.linalg.norm(p), scaling)
+    system = build_reduced_system(_load(args))
+    circuit, *_ = plan_hhl(system, HHLConfig(alpha=args.alpha))
     result = circuit_metrics(circuit)
     payload = {"width": result.width, "depth": result.depth,
                "cnot_count": result.cnot_count}

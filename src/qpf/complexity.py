@@ -23,6 +23,7 @@ _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 SEARCH_RANGE = (2.0, 1.0e7)
 BISECT_REL_TOL = 1e-6
+CROSSOVER_SAMPLES = 200  # log-spaced grid points scanned for a sign change
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ def find_crossover(
     classical: ComplexityParams,
     quantum: ComplexityParams,
     constant_ratio: float,
-    samples: int = 200,
 ) -> CrossoverReport:
     """Bisection root of t_classical(n) = constant_ratio * t_quantum(n).
 
@@ -110,7 +110,7 @@ def find_crossover(
         return constant_ratio * t_quantum(n, quantum) - t_classical(n, classical)
 
     lo_end, hi_end = SEARCH_RANGE
-    grid = np.geomspace(lo_end, hi_end, max(int(samples), 16))
+    grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES)
     values = [gap(n) for n in grid]
     bracket = None
     for left, right, f_left, f_right in zip(grid, grid[1:], values, values[1:]):

@@ -33,6 +33,7 @@ from qpf.qsim import (
     UniformlyControlledRy,
     apply_circuit,
     h,
+    invert_gate,
     metrics,
     post_select,
     prepare_state,
@@ -68,7 +69,6 @@ class HHLConfig:
     alpha: int = 5
     t_override: float | None = None
     c_override: float | None = None
-    readout: str = "exact"
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +162,7 @@ def _qft_gates(qubits: tuple[int, ...]) -> list:
         for j in reversed(range(i)):
             angle = math.pi / 2 ** (i - j)
             u = np.diag([1.0, np.exp(1j * angle)]).astype(complex)
-            gates.append(ControlledUnitary((qubits[j],), (qubits[i],), u, label="CP"))
+            gates.append(ControlledUnitary((qubits[j],), (qubits[i],), u))
     for i in range(n // 2):
         a, b = qubits[i], qubits[n - 1 - i]
         gates += [Cnot(a, b), Cnot(b, a), Cnot(a, b)]
@@ -189,16 +189,10 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
     for k, q in enumerate(clock):
         phases = np.exp(1j * eig.lambdas * scaling.t * 2**k)
         u = (vectors * phases) @ vectors.conj().T
-        circuit.append(ControlledUnitary((q,), targets, u, label=f"e^(iBt*2^{k})"))
-    for gate in _invert(_qft_gates(clock)):
-        circuit.append(gate)
+        circuit.append(ControlledUnitary((q,), targets, u))
+    for gate in reversed(_qft_gates(clock)):
+        circuit.append(invert_gate(gate))
     return circuit
-
-
-def _invert(gates: list) -> list:
-    from qpf.qsim import invert_gate
-
-    return [invert_gate(g) for g in reversed(gates)]
 
 
 def build_reciprocal_rotation(
@@ -254,14 +248,17 @@ def _pad_system(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
     return b_pad, p_pad, beta
 
 
-def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:
-    """Simulate the pipeline and score it against the classical solve."""
-    if config.readout != "exact":
-        raise InputError(f"unsupported readout mode {config.readout!r}")
+def plan_hhl(
+    system: ReducedSystem, config: HHLConfig
+) -> tuple[Circuit, SpectralScaling, int, float]:
+    """Pad the system and build its pipeline circuit.
+
+    Returns (circuit, scaling, beta, p_norm): beta is the solution-register
+    width after padding and p_norm the norm of the unpadded injections.
+    """
     b = np.asarray(system.b, dtype=float)
     p = np.asarray(system.p, dtype=float)
-    n = len(p)
-    if n < 2:
+    if len(p) < 2:
         raise InputError("system dimension must be >= 2")
     p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
@@ -270,8 +267,13 @@ def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult
     b_pad, p_pad, beta = _pad_system(b, p)
     eig = eigendecompose(b_pad)
     scaling = choose_scaling(eig, config.alpha, config.t_override, config.c_override)
-    circuit = build_hhl_circuit(eig, p_pad / p_norm, scaling)
+    return build_hhl_circuit(eig, p_pad / p_norm, scaling), scaling, beta, p_norm
 
+
+def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:
+    """Simulate the pipeline and score it against the classical solve."""
+    circuit, scaling, beta, p_norm = plan_hhl(system, config)
+    n = len(system.p)
     alpha = scaling.alpha
     ancilla = beta + alpha
     state = apply_circuit(zero_state(circuit.num_qubits), circuit)
@@ -309,7 +311,7 @@ def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult
             "c": scaling.c,
             "t_override": config.t_override,
             "c_override": config.c_override,
-            "readout": config.readout,
+            "readout": "exact",
         },
     )
 

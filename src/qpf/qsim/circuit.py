@@ -71,7 +71,6 @@ class ControlledUnitary:
     targets: tuple[int, ...]
     u: np.ndarray
     control_pattern: int = -1  # -1 means "all ones"
-    label: str = "CU"
 
     @property
     def pattern(self) -> int:
@@ -198,8 +197,7 @@ def invert_gate(gate: Gate) -> Gate:
         return gate
     if isinstance(gate, ControlledUnitary):
         return ControlledUnitary(
-            gate.controls, gate.targets, gate.u.conj().T, gate.control_pattern,
-            gate.label,
+            gate.controls, gate.targets, gate.u.conj().T, gate.control_pattern
         )
     if isinstance(gate, UniformlyControlledRy):
         return UniformlyControlledRy(gate.controls, gate.target, -np.asarray(gate.angles))

@@ -24,6 +24,7 @@ from qpf.qsim.circuit import (
     Gate,
     SingleQubit,
     UniformlyControlledRy,
+    invert_gate,
     phase,
     ry,
     rz,
@@ -167,7 +168,7 @@ def _two_level_gates(i1: int, i2: int, v: np.ndarray, local: list[int]) -> list[
     controls = [b for b in range(width) if b != last]
     pattern = [(i2 >> b) & 1 for b in controls]
     core = _mc_single(u, [local[b] for b in controls], pattern, local[last])
-    return walk + core + _invert_list(walk)
+    return walk + core + [invert_gate(g) for g in reversed(walk)]
 
 
 def _one_level_phase(idx: int, phi: float, local: list[int]) -> list[Gate]:
@@ -183,12 +184,6 @@ def _one_level_phase(idx: int, phi: float, local: list[int]) -> list[Gate]:
     else:
         u = np.diag([cmath.exp(1j * phi), 1.0]).astype(complex)
     return _mc_single(u, [local[b] for b in controls], pattern, local[0])
-
-
-def _invert_list(gates: list[Gate]) -> list[Gate]:
-    from qpf.qsim.circuit import invert_gate
-
-    return [invert_gate(g) for g in reversed(gates)]
 
 
 # -- multi-controlled single-qubit gates ------------------------------------

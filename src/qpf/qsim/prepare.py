@@ -29,6 +29,8 @@ def prepare_state(target: np.ndarray) -> Circuit:
     v = np.asarray(target, dtype=float)
     if v.ndim != 1 or len(v) < 2 or len(v) & (len(v) - 1):
         raise InputError("target length must be a power of two >= 2")
+    if not np.isfinite(v).all():
+        raise InputError("target has non-finite entries")
     if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
         raise InputError(f"target not normalized: |v| = {np.linalg.norm(v)!r}")
     beta = len(v).bit_length() - 1

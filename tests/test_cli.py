@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qpf.cli import main
+from qpf.grid import build_reduced_system, load_network
+from qpf.hhl import HHLConfig, run_hhl
 
 THREE_BUS = {
     "base_mva": 100.0,
@@ -21,12 +23,47 @@ THREE_BUS = {
     ],
 }
 
+ZERO_INJECTION = {**THREE_BUS, "buses": [
+    {"id": 1, "slack": True, "p_pu": 0.0},
+    {"id": 2, "slack": False, "p_pu": 0.0},
+    {"id": 3, "slack": False, "p_pu": 0.0},
+]}
+
+TWO_BUS = {
+    "base_mva": 100.0,
+    "buses": [
+        {"id": 1, "slack": True, "p_pu": -0.5},
+        {"id": 2, "slack": False, "p_pu": 0.5},
+    ],
+    "branches": [{"from": 1, "to": 2, "x_pu": 0.2}],
+}
+
+# Reduced dimension 3, so the HHL pipeline pads it to 4.
+FOUR_BUS_CHAIN = {
+    "base_mva": 100.0,
+    "buses": [
+        {"id": 1, "slack": True, "p_pu": 0.0},
+        {"id": 2, "slack": False, "p_pu": 0.5},
+        {"id": 3, "slack": False, "p_pu": -0.2},
+        {"id": 4, "slack": False, "p_pu": -0.3},
+    ],
+    "branches": [
+        {"from": 1, "to": 2, "x_pu": 0.2},
+        {"from": 2, "to": 3, "x_pu": 0.4},
+        {"from": 3, "to": 4, "x_pu": 0.3},
+    ],
+}
+
+
+def write_network(tmp_path, network, name="network.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(network))
+    return str(path)
+
 
 @pytest.fixture
 def three_bus_path(tmp_path):
-    path = tmp_path / "three_bus.json"
-    path.write_text(json.dumps(THREE_BUS))
-    return str(path)
+    return write_network(tmp_path, THREE_BUS, "three_bus.json")
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +183,25 @@ class TestMetrics:
         assert payload["width"] == 5
         assert payload["depth"] > 0
         assert payload["cnot_count"] > 0
+
+    def test_padded_network_matches_run_hhl(self, capsys, tmp_path):
+        path = write_network(tmp_path, FOUR_BUS_CHAIN)
+        code, out, _ = run_cli(capsys, "metrics", "--input", path, "--alpha", "3")
+        assert code == 0
+        expected = run_hhl(build_reduced_system(load_network(path)), HHLConfig(alpha=3)).metrics
+        assert expected.width == 6  # 2 solution + 3 clock + ancilla
+        assert json.loads(out) == {"width": expected.width, "depth": expected.depth,
+                                   "cnot_count": expected.cnot_count}
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["solve", "--method", "hhl"]])
+@pytest.mark.parametrize("network, message", [(ZERO_INJECTION, "zero"), (TWO_BUS, ">= 2")])
+def test_hhl_commands_reject_same_inputs(capsys, tmp_path, command, network, message):
+    path = write_network(tmp_path, network)
+    code, out, err = run_cli(capsys, *command, "--input", path)
+    assert code == 1
+    assert message in err
+    assert out == ""
 
 
 class TestCrossover:

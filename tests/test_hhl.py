@@ -331,11 +331,6 @@ class TestRunHhl:
         with pytest.raises(InputError, match="zero"):
             run_hhl(system)
 
-    def test_rejects_unknown_readout(self):
-        system = diag_system([1.0, 0.5], [1.0, 0.0])
-        with pytest.raises(InputError, match="readout"):
-            run_hhl(system, HHLConfig(readout="sampled"))
-
     def test_tiny_c_starves_post_selection(self):
         system = diag_system([1.0, 0.5], [1.0, 0.0])
         with pytest.raises(PostSelectionError):

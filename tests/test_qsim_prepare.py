@@ -67,6 +67,7 @@ def test_gate_structure_for_eight_amplitudes():
         [0.5, 0.5, np.sqrt(0.5)],  # not a power of two
         [1.0, 1.0],  # not normalized
         [0.0, 0.0],  # zero vector
+        [np.nan, np.nan],  # non-finite
     ],
 )
 def test_invalid_targets_rejected(bad):
