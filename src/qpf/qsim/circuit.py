@@ -6,10 +6,10 @@ of the statevector index, so basis state ``|q_{n-1} ... q_1 q_0>`` has index
 ``ControlledUnitary.targets = (a, b)``, qubit ``a`` is bit 0 of the matrix
 row/column index.
 
-Gates are plain frozen dataclasses; a Circuit is an ordered gate list over a
-fixed-width register.  Validation (index ranges, unitarity to 1e-10, angle
-list lengths) happens in ``Circuit.append`` so every stored circuit is
-well-formed by construction.
+Gates are frozen dataclasses that check themselves once, when made (distinct
+qubits, unitarity to 1e-10, pattern width, angle count); a Circuit is an
+ordered gate list over a fixed-width register whose ``append`` checks only the
+width, so every stored circuit is well-formed by construction.
 """
 
 from __future__ import annotations
@@ -43,9 +43,44 @@ def _phase_matrix(phi: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
 
 
+def _check_unitary(u: np.ndarray, dim: int) -> None:
+    if not isinstance(u, np.ndarray):
+        raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
+    if u.shape != (dim, dim):
+        raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
+    dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    if not dev <= UNITARY_TOL:  # also rejects NaN
+        raise InputError(f"matrix not unitary (deviation {dev:.2e})")
+
+
+def _check_gate(gate: Gate) -> None:
+    """Every check that depends on the gate alone; the width check is Circuit's."""
+    if isinstance(gate, SingleQubit):
+        _check_unitary(gate.u, 2)
+        return
+    qs = gate_qubits(gate)
+    if len(set(qs)) != len(qs):
+        raise InputError(f"gate reuses a qubit: {qs}")
+    if isinstance(gate, ControlledUnitary):
+        _check_unitary(gate.u, 2 ** len(gate.targets))
+        if not 0 <= gate.pattern < 2 ** len(gate.controls):
+            raise InputError("control pattern wider than control set")
+    elif isinstance(gate, UniformlyControlledRy):
+        if len(gate.angles) != 2 ** len(gate.controls):
+            raise InputError(f"{len(gate.angles)} angles for {len(gate.controls)} controls")
+        if not np.isfinite(gate.angles).all():
+            raise InputError("non-finite angle")
+
+
+class Gate:
+    """Base of the four gate types: a gate checks itself once, when it is made."""
+
+    __post_init__ = _check_gate
+
+
 @dataclass(frozen=True, eq=False)
-class SingleQubit:
-    """Arbitrary one-qubit unitary.  ``name``/``params`` only feed the dump format."""
+class SingleQubit(Gate):
+    """Any one-qubit unitary.  ``name``/``params`` drive ``dump`` and ``invert_gate``."""
 
     target: int
     u: np.ndarray
@@ -54,13 +89,13 @@ class SingleQubit:
 
 
 @dataclass(frozen=True)
-class Cnot:
+class Cnot(Gate):
     control: int
     target: int
 
 
 @dataclass(frozen=True, eq=False)
-class ControlledUnitary:
+class ControlledUnitary(Gate):
     """``u`` acts on ``targets`` when every control qubit matches its pattern bit.
 
     ``control_pattern`` bit i is the required value of ``controls[i]``
@@ -80,7 +115,7 @@ class ControlledUnitary:
 
 
 @dataclass(frozen=True, eq=False)
-class UniformlyControlledRy:
+class UniformlyControlledRy(Gate):
     """Ry(angles[m]) on ``target`` for each control basis value m.
 
     ``controls[0]`` is the least significant bit of the angle index m.
@@ -89,9 +124,6 @@ class UniformlyControlledRy:
     controls: tuple[int, ...]
     target: int
     angles: np.ndarray
-
-
-Gate = SingleQubit | Cnot | ControlledUnitary | UniformlyControlledRy
 
 
 def h(target: int) -> SingleQubit:
@@ -127,14 +159,6 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     raise InputError(f"unknown gate type {type(gate).__name__}")
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> None:
-    if u.shape != (dim, dim):
-        raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
-    dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if dev > UNITARY_TOL:
-        raise InputError(f"matrix not unitary (deviation {dev:.2e})")
-
-
 @dataclass
 class Circuit:
     num_qubits: int
@@ -148,34 +172,14 @@ class Circuit:
             self.append(g)
 
     def append(self, gate: Gate) -> None:
-        qs = gate_qubits(gate)
-        if len(set(qs)) != len(qs):
-            raise InputError(f"gate reuses a qubit: {qs}")
-        for q in qs:
+        for q in gate_qubits(gate):
             if not 0 <= q < self.num_qubits:
                 raise InputError(f"qubit {q} out of range for width {self.num_qubits}")
-        if isinstance(gate, SingleQubit):
-            _check_unitary(gate.u, 2)
-        elif isinstance(gate, ControlledUnitary):
-            _check_unitary(gate.u, 2 ** len(gate.targets))
-            if not 0 <= gate.pattern < 2 ** len(gate.controls):
-                raise InputError("control pattern wider than control set")
-        elif isinstance(gate, UniformlyControlledRy):
-            if len(gate.angles) != 2 ** len(gate.controls):
-                raise InputError(
-                    f"{len(gate.angles)} angles for {len(gate.controls)} controls"
-                )
         self.gates.append(gate)
 
     def extend(self, gates) -> None:
         for g in gates:
             self.append(g)
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
 
     def inverse(self) -> "Circuit":
         """Adjoint circuit: gates reversed and individually inverted."""

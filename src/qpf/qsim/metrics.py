@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qpf.qsim.circuit import Circuit, Cnot, gate_qubits
-from qpf.qsim.lower import is_lowered, lower_to_basis
+from qpf.qsim.lower import lower_to_basis
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
     depth = longest dependency chain, where gates sharing any qubit are
     ordered and each basis gate costs one layer.
     """
-    lowered = circuit if is_lowered(circuit) else lower_to_basis(circuit)
+    lowered = lower_to_basis(circuit)
     ready = [0] * circuit.num_qubits
     depth = 0
     cnots = 0

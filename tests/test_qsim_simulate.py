@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qpf.qsim.circuit as circuit_module
 from helpers import dense_circuit, random_circuit, random_unitary
 from qpf.errors import InputError, PostSelectionError
 from qpf.qsim import (
@@ -13,6 +14,7 @@ from qpf.qsim import (
     apply_gate,
     dump,
     h,
+    lower_to_basis,
     parse,
     post_select,
     ry,
@@ -123,22 +125,43 @@ class TestValidation:
             Circuit(2).append(Cnot(1, 1))
 
     def test_overlapping_controls_and_targets(self, rng):
-        gate = ControlledUnitary((0,), (0,), random_unitary(rng, 2))
         with pytest.raises(InputError):
+            gate = ControlledUnitary((0,), (0,), random_unitary(rng, 2))
             Circuit(2).append(gate)
 
-    def test_non_unitary_matrix_rejected(self):
+    @pytest.mark.parametrize(
+        "u",
+        [np.array([[1, 0], [0, 2.0]]), np.full((2, 2), np.nan), [[1, 0], [0, 1]]],
+    )
+    def test_non_unitary_matrix_rejected(self, u):
         with pytest.raises(InputError, match="unitary"):
-            Circuit(1).append(SingleQubit(0, np.array([[1, 0], [0, 2.0]])))
+            Circuit(1).append(SingleQubit(0, u))
 
     def test_pattern_out_of_range(self, rng):
-        gate = ControlledUnitary((1,), (0,), random_unitary(rng, 2), control_pattern=2)
         with pytest.raises(InputError):
+            gate = ControlledUnitary((1,), (0,), random_unitary(rng, 2), control_pattern=2)
             Circuit(2).append(gate)
 
-    def test_ucry_wrong_angle_count(self):
+    @pytest.mark.parametrize("angles", [[0.1], np.array([np.nan, 0.0])])
+    def test_ucry_wrong_angle_count(self, angles):
         with pytest.raises(InputError, match="angle"):
-            Circuit(2).append(UniformlyControlledRy((1,), 0, [0.1]))
+            Circuit(2).append(UniformlyControlledRy((1,), 0, angles))
+
+    def test_gates_are_checked_once_when_made(self, rng, monkeypatch):
+        circuit = random_circuit(rng, 3, length=10)
+        other = random_circuit(rng, 3, length=10)
+        lowered = lower_to_basis(circuit)
+        calls = []
+        check = circuit_module._check_unitary
+        monkeypatch.setattr(
+            circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
+        )
+        Circuit(circuit.num_qubits, circuit.gates)
+        lower_to_basis(lower_to_basis(lowered))
+        circuit.extend(other.gates)
+        assert calls == []
+        h(0)  # making a gate is what runs its checks
+        assert len(calls) == 1
 
 
 class TestPostSelect:
