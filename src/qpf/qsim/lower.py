@@ -7,6 +7,9 @@ UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.
 
 Gate counts here are generic-decomposition counts, not optimized-transpiler
 counts; correctness (unitary equivalence to 1e-8) is the contract.
+
+Lowering is pure, so within one ``lower_to_basis`` call each repeated
+multi-controlled sub-block is lowered once and its gate objects are shared.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from qpf.errors import InputError
 from qpf.qsim.circuit import (
+    _X,
     Circuit,
     Cnot,
     ControlledUnitary,
@@ -35,16 +39,35 @@ _ELIM_TOL = 1e-14  # entries below this need no Givens rotation
 _ANGLE_TOL = 1e-12  # rotations/phases below this are dropped
 
 
+class _Memo:
+    """Lowered sub-blocks of one ``lower_to_basis`` call, keyed by their inputs.
+
+    ``mc_ones`` maps (bytes of the complex 2x2 u, controls, target) to the
+    gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
+    caller; ``inverse`` maps a walk gate to its ``invert_gate``.
+    """
+
+    def __init__(self) -> None:
+        self.mc_ones: dict[tuple, tuple[Gate, ...]] = {}
+        self.inverse: dict[Gate, Gate] = {}
+
+    def invert(self, gate: Gate) -> Gate:
+        if gate not in self.inverse:
+            self.inverse[gate] = invert_gate(gate)
+        return self.inverse[gate]
+
+
 def lower_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit using only Cnot and SingleQubit gates."""
     out = Circuit(circuit.num_qubits)
+    memo = _Memo()
     for gate in circuit.gates:
         if isinstance(gate, (SingleQubit, Cnot)):
             out.append(gate)
         elif isinstance(gate, UniformlyControlledRy):
             out.extend(_lower_ucry(gate))
         elif isinstance(gate, ControlledUnitary):
-            out.extend(_lower_cu(gate))
+            out.extend(_lower_cu(gate, memo))
         else:
             raise InputError(f"unknown gate type {type(gate).__name__}")
     return out
@@ -85,7 +108,7 @@ def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
 # -- controlled unitary ------------------------------------------------------
 
 
-def _lower_cu(gate: ControlledUnitary) -> list[Gate]:
+def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     # Local register: targets first (low bits), controls above them, so the
     # active block of the embedded unitary is the trailing diagonal block.
     local = list(gate.targets) + list(gate.controls)
@@ -97,9 +120,9 @@ def _lower_cu(gate: ControlledUnitary) -> list[Gate]:
     rotations, phases = _two_level_decompose(w)
     gates: list[Gate] = []
     for idx, phi in phases:
-        gates.extend(_one_level_phase(idx, phi, local))
+        gates.extend(_one_level_phase(idx, phi, local, memo))
     for i1, i2, v in reversed(rotations):
-        gates.extend(_two_level_gates(i1, i2, v.conj().T, local))
+        gates.extend(_two_level_gates(i1, i2, v.conj().T, local, memo))
     return gates
 
 
@@ -134,23 +157,16 @@ def _two_level_decompose(w: np.ndarray):
     return rotations, phases
 
 
-def _bits_of(value: int, width: int) -> list[int]:
-    return [(value >> b) & 1 for b in range(width)]
-
-
-def _mcx_on_state(state: int, flip_bit: int, local: list[int]) -> list[Gate]:
+def _mcx_on_state(state: int, flip_bit: int, local: list[int], memo: _Memo) -> list[Gate]:
     """X on local bit ``flip_bit`` conditioned on every other bit of ``state``."""
     controls = [b for b in range(len(local)) if b != flip_bit]
     pattern = [(state >> b) & 1 for b in controls]
-    return _mc_single(
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        [local[b] for b in controls],
-        pattern,
-        local[flip_bit],
-    )
+    return _mc_single(_X, [local[b] for b in controls], pattern, local[flip_bit], memo)
 
 
-def _two_level_gates(i1: int, i2: int, v: np.ndarray, local: list[int]) -> list[Gate]:
+def _two_level_gates(
+    i1: int, i2: int, v: np.ndarray, local: list[int], memo: _Memo
+) -> list[Gate]:
     """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>} of the local bits."""
     width = len(local)
     diff_bits = [b for b in range(width) if (i1 ^ i2) >> b & 1]
@@ -159,19 +175,19 @@ def _two_level_gates(i1: int, i2: int, v: np.ndarray, local: list[int]) -> list[
     walk: list[Gate] = []
     state = i1
     for b in diff_bits[:-1]:
-        walk.extend(_mcx_on_state(state, b, local))
+        walk.extend(_mcx_on_state(state, b, local, memo))
         state ^= 1 << b
     # Now state == i2 ^ (1 << last).  The 2x2 acts on local bit ``last`` with
     # all other bits pinned to i2's values; if i2 has bit ``last`` = 0 the
     # (i1, i2) ordering is the reversed qubit basis, so conjugate by X.
-    u = v if (i2 >> last) & 1 else np.array([[0, 1], [1, 0]]) @ v @ np.array([[0, 1], [1, 0]])
+    u = v if (i2 >> last) & 1 else _X @ v @ _X
     controls = [b for b in range(width) if b != last]
     pattern = [(i2 >> b) & 1 for b in controls]
-    core = _mc_single(u, [local[b] for b in controls], pattern, local[last])
-    return walk + core + [invert_gate(g) for g in reversed(walk)]
+    core = _mc_single(u, [local[b] for b in controls], pattern, local[last], memo)
+    return walk + core + [memo.invert(g) for g in reversed(walk)]
 
 
-def _one_level_phase(idx: int, phi: float, local: list[int]) -> list[Gate]:
+def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> list[Gate]:
     """diag phase e^{i phi} on basis state |idx> of the local bits."""
     width = len(local)
     if width == 1:
@@ -183,21 +199,32 @@ def _one_level_phase(idx: int, phi: float, local: list[int]) -> list[Gate]:
         u = np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
     else:
         u = np.diag([cmath.exp(1j * phi), 1.0]).astype(complex)
-    return _mc_single(u, [local[b] for b in controls], pattern, local[0])
+    return _mc_single(u, [local[b] for b in controls], pattern, local[0], memo)
 
 
 # -- multi-controlled single-qubit gates ------------------------------------
 
 
 def _mc_single(
-    u: np.ndarray, controls: list[int], pattern: list[int], target: int
+    u: np.ndarray, controls: list[int], pattern: list[int], target: int, memo: _Memo
 ) -> list[Gate]:
     """Lower u-on-target with (control, required-bit) conditions to the basis."""
     wraps = [x(c) for c, bit in zip(controls, pattern) if bit == 0]
-    return wraps + _mc_ones(u, controls, target) + wraps
+    return [*wraps, *_mc_ones(u, controls, target, memo), *wraps]
 
 
-def _mc_ones(u: np.ndarray, controls: list[int], target: int) -> list[Gate]:
+def _mc_ones(
+    u: np.ndarray, controls: list[int], target: int, memo: _Memo
+) -> tuple[Gate, ...]:
+    key = (u.tobytes(), tuple(controls), target)
+    if key not in memo.mc_ones:
+        memo.mc_ones[key] = tuple(_mc_ones_uncached(u, controls, target, memo))
+    return memo.mc_ones[key]
+
+
+def _mc_ones_uncached(
+    u: np.ndarray, controls: list[int], target: int, memo: _Memo
+) -> list[Gate]:
     if np.abs(u - np.eye(2)).max() < _ANGLE_TOL:
         return []
     if not controls:
@@ -206,12 +233,11 @@ def _mc_ones(u: np.ndarray, controls: list[int], target: int) -> list[Gate]:
         return _controlled_single(u, controls[0], target)
     v = _sqrt_2x2(u)
     c_last, rest = controls[-1], list(controls[:-1])
-    x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     gates = _controlled_single(v, c_last, target)
-    gates += _mc_ones(x_mat, rest, c_last)
+    gates += _mc_ones(_X, rest, c_last, memo)
     gates += _controlled_single(v.conj().T, c_last, target)
-    gates += _mc_ones(x_mat, rest, c_last)
-    gates += _mc_ones(v, rest, target)
+    gates += _mc_ones(_X, rest, c_last, memo)
+    gates += _mc_ones(v, rest, target, memo)
     return gates
 
 

@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import dense_circuit, random_circuit, random_unitary
+from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
     Cnot,
     ControlledUnitary,
     SingleQubit,
     UniformlyControlledRy,
+    dump,
     h,
     is_lowered,
     lower_to_basis,
@@ -111,3 +115,31 @@ def test_identity_lowering_emits_nothing_heavy():
     gate = ControlledUnitary((1,), (0,), np.eye(2, dtype=complex))
     lowered = lower_to_basis(Circuit(2, [gate]))
     assert_equivalent(Circuit(2, [gate]), lowered, atol=1e-14)
+
+
+def test_wscc9_gate_sequence_is_pinned(wscc9_system):
+    # Same gates in the same order, byte for byte: sha256 of the dump of the
+    # wscc9 alpha = 3 circuit lowered with the plain square-root recursion.
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=3))
+    text = dump(lower_to_basis(circuit))
+    assert text.count("\n") == 52229
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0930c7a1344e42211d19d905c85e170e3bc5b5c08bf07452ef691933e8819230"
+    )
+
+
+def test_shared_sub_blocks_stay_inside_one_call(rng):
+    # Three-control gates make the square-root recursion repeat sub-blocks.
+    first = Circuit(4, [ControlledUnitary((1, 2, 3), (0,), random_unitary(rng, 2), 5)])
+    second = random_circuit(rng, 4, length=6)
+    second.append(ControlledUnitary((0, 1, 2), (3,), random_unitary(rng, 2)))
+    alone = dump(lower_to_basis(second))
+    lower_to_basis(first)
+    assert dump(lower_to_basis(second)) == alone
+
+    once, again = lower_to_basis(second), lower_to_basis(second)
+    passthrough = {id(g) for g in second.gates}
+    made_once = {id(g) for g in once.gates} - passthrough
+    made_again = {id(g) for g in again.gates} - passthrough
+    assert made_once and made_again
+    assert not made_once & made_again

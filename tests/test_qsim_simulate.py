@@ -4,6 +4,7 @@ import pytest
 import qpf.qsim.circuit as circuit_module
 from helpers import dense_circuit, random_circuit, random_unitary
 from qpf.errors import InputError, PostSelectionError
+from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
     Cnot,
@@ -15,6 +16,7 @@ from qpf.qsim import (
     dump,
     h,
     lower_to_basis,
+    metrics,
     parse,
     post_select,
     ry,
@@ -162,6 +164,18 @@ class TestValidation:
         assert calls == []
         h(0)  # making a gate is what runs its checks
         assert len(calls) == 1
+
+    def test_wscc9_metrics_check_few_gates(self, wscc9_system, monkeypatch):
+        # Lowering makes each repeated multi-controlled sub-block once per
+        # call, so most of its ~87k output gates cost no unitarity check.
+        circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+        calls = []
+        check = circuit_module._check_unitary
+        monkeypatch.setattr(
+            circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
+        )
+        assert metrics(circuit).cnot_count == 23550
+        assert len(calls) <= 10_000
 
 
 class TestPostSelect:
