@@ -15,13 +15,13 @@ import sys
 from qpf import __version__
 from qpf.complexity import (
     ComplexityParams,
-    base_speed_ratio,
     find_crossover,
     sweep,
     sweep_csv,
 )
 from qpf.errors import InputError, NumericalError, PostSelectionError
 from qpf.grid import (
+    Network,
     build_reduced_system,
     load_fixture,
     load_network,
@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> "Network":
+def _load(args) -> Network:
     if args.fixture is not None:
         return load_fixture(args.fixture)
     return load_network(args.input)

@@ -35,10 +35,10 @@ class ComplexityParams:
     log_eps_base: str = "e"
 
     def __post_init__(self):
-        if not self.s >= 1:
-            raise InputError("sparsity s must be >= 1")
-        if not self.k > 0:
-            raise InputError("condition parameter k must be > 0")
+        if not (self.s >= 1 and math.isfinite(self.s)):
+            raise InputError("sparsity s must be finite and >= 1")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise InputError("condition parameter k must be finite and > 0")
         if not 0 < self.epsilon < 1:
             raise InputError("epsilon must lie in (0, 1)")
         for base in (self.log_n_base, self.log_eps_base):
@@ -61,6 +61,11 @@ def _log(value: float, base: str) -> float:
 def _check_n(n: float) -> None:
     if not n >= 2:
         raise InputError("n must be >= 2")
+
+
+def _check_ratio(constant_ratio: float) -> None:
+    if not (constant_ratio > 0 and math.isfinite(constant_ratio)):
+        raise InputError("constant_ratio must be positive and finite")
 
 
 def t_classical(n: float, p: ComplexityParams) -> float:
@@ -103,8 +108,7 @@ def find_crossover(
     1e-6 relative tolerance.  Raises NumericalError when one model dominates
     the whole range.
     """
-    if not constant_ratio > 0:
-        raise InputError("constant_ratio must be positive")
+    _check_ratio(constant_ratio)
 
     def gap(n: float) -> float:
         return constant_ratio * t_quantum(n, quantum) - t_classical(n, classical)
@@ -155,9 +159,10 @@ def sweep(
     steps: int,
 ) -> list[tuple[float, float, float]]:
     """Log-spaced cost samples (n, classical, scaled quantum) for plotting."""
+    _check_ratio(constant_ratio)
     lo, hi = n_range
-    if not (2 <= lo <= hi):
-        raise InputError("need 2 <= lo <= hi")
+    if not (2 <= lo <= hi and math.isfinite(hi)):
+        raise InputError("need 2 <= lo <= hi < inf")
     if steps < 1:
         raise InputError("steps must be >= 1")
     if steps == 1 or lo == hi:

@@ -12,7 +12,6 @@ from qpf.qsim.circuit import (
     gate_qubits,
     h,
     invert_gate,
-    parse,
     phase,
     ry,
     rz,
@@ -47,7 +46,6 @@ __all__ = [
     "is_lowered",
     "lower_to_basis",
     "metrics",
-    "parse",
     "phase",
     "post_select",
     "prepare_state",

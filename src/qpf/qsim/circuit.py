@@ -218,7 +218,7 @@ def invert_gate(gate: Gate) -> Gate:
 #   CU 0 1 [3 4] 3 re im ...     targets, controls, pattern int, matrix row-major
 #   UCRY 5 [2 3] a0 a1 a2 a3     target, controls, 2^k angles
 #
-# Floats are written with repr precision; parse(dump(c)) reproduces c exactly.
+# Floats are written with repr precision, so each one reads back bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -250,64 +250,3 @@ def dump(circuit: Circuit) -> str:
             cs = " ".join(map(str, g.controls))
             lines.append(f"UCRY {g.target} [{cs}] {_fmt(g.angles)}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _split_bracket(tokens: list[str]) -> tuple[list[int], list[int], list[str]]:
-    """Split token list at the [controls] group: heads, controls, params."""
-    if any(t.startswith("[") for t in tokens):
-        start = next(i for i, t in enumerate(tokens) if t.startswith("["))
-        end = next(i for i, t in enumerate(tokens) if t.endswith("]"))
-        ctrl_tokens = " ".join(tokens[start : end + 1]).strip("[]").split()
-        controls = [int(t) for t in ctrl_tokens if t]
-        return [int(t) for t in tokens[:start]], controls, tokens[end + 1 :]
-    heads = []
-    for i, t in enumerate(tokens):
-        if t.lstrip("+-").isdigit():
-            heads.append(int(t))
-        else:
-            return heads, [], tokens[i:]
-    return heads, [], []
-
-
-def _parse_matrix(fields: list[str], dim: int) -> np.ndarray:
-    vals = np.array([float(f) for f in fields], dtype=float)
-    if len(vals) != 2 * dim * dim:
-        raise InputError(f"expected {2 * dim * dim} floats for a {dim}x{dim} matrix")
-    return (vals[0::2] + 1j * vals[1::2]).reshape(dim, dim)
-
-
-def parse(text: str, num_qubits: int) -> Circuit:
-    """Parse the dump format back into a Circuit."""
-    circuit = Circuit(num_qubits)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, *tokens = line.split()
-        try:
-            heads, controls, params = _split_bracket(tokens)
-            if name in ("H", "X"):
-                circuit.append({"H": h, "X": x}[name](heads[0]))
-            elif name in ("RY", "RZ", "P"):
-                maker = {"RY": ry, "RZ": rz, "P": phase}[name]
-                circuit.append(maker(heads[0], float(params[0])))
-            elif name == "U":
-                circuit.append(SingleQubit(heads[0], _parse_matrix(params, 2)))
-            elif name == "CNOT":
-                circuit.append(Cnot(controls[0], heads[0]))
-            elif name == "CU":
-                pattern = int(params[0])
-                u = _parse_matrix(params[1:], 2 ** len(heads))
-                circuit.append(
-                    ControlledUnitary(tuple(controls), tuple(heads), u, pattern)
-                )
-            elif name == "UCRY":
-                angles = np.array([float(p) for p in params])
-                circuit.append(
-                    UniformlyControlledRy(tuple(controls), heads[0], angles)
-                )
-            else:
-                raise InputError(f"unknown gate {name!r}")
-        except (IndexError, ValueError) as exc:
-            raise InputError(f"line {lineno}: cannot parse {raw!r} ({exc})") from exc
-    return circuit

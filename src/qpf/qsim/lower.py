@@ -3,7 +3,8 @@
 Chain: ControlledUnitary -> two-level (Givens) decomposition over the gate's
 local qubits -> Gray-code multi-controlled single-qubit rotations -> standard
 CNOT ladder identities (ZYZ for one control, square-root recursion for more).
-UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.
+UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.  A one-qubit
+ControlledUnitary with no controls is already a basis gate: a SingleQubit.
 
 Gate counts here are generic-decomposition counts, not optimized-transpiler
 counts; correctness (unitary equivalence to 1e-8) is the contract.
@@ -109,6 +110,8 @@ def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
 
 
 def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
+    if not gate.controls and len(gate.targets) == 1:
+        return [SingleQubit(gate.targets[0], gate.u)]  # already a basis gate
     # Local register: targets first (low bits), controls above them, so the
     # active block of the embedded unitary is the trailing diagonal block.
     local = list(gate.targets) + list(gate.controls)
@@ -189,11 +192,7 @@ def _two_level_gates(
 
 def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> list[Gate]:
     """diag phase e^{i phi} on basis state |idx> of the local bits."""
-    width = len(local)
-    if width == 1:
-        u = np.diag([1.0, cmath.exp(1j * phi)] if idx else [cmath.exp(1j * phi), 1.0])
-        return [SingleQubit(local[0], u)]
-    controls = list(range(1, width))
+    controls = list(range(1, len(local)))
     pattern = [(idx >> b) & 1 for b in controls]
     if idx & 1:
         u = np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
@@ -227,8 +226,6 @@ def _mc_ones_uncached(
 ) -> list[Gate]:
     if np.abs(u - np.eye(2)).max() < _ANGLE_TOL:
         return []
-    if not controls:
-        return _single(u, target)
     if len(controls) == 1:
         return _controlled_single(u, controls[0], target)
     v = _sqrt_2x2(u)
@@ -238,24 +235,6 @@ def _mc_ones_uncached(
     gates += _controlled_single(v.conj().T, c_last, target)
     gates += _mc_ones(_X, rest, c_last, memo)
     gates += _mc_ones(v, rest, target, memo)
-    return gates
-
-
-def _single(u: np.ndarray, target: int) -> list[Gate]:
-    alpha, beta, gamma, delta = _zyz(u)
-    gates: list[Gate] = []
-    if abs(delta) > _ANGLE_TOL:
-        gates.append(rz(target, delta))
-    if abs(gamma) > _ANGLE_TOL:
-        gates.append(ry(target, gamma))
-    if abs(beta) > _ANGLE_TOL:
-        gates.append(rz(target, beta))
-    if abs(alpha) > _ANGLE_TOL:
-        # Global phase is observable once the gate is later controlled, so
-        # carry it as an explicit diagonal gate.
-        gates.append(SingleQubit(target, np.eye(2) * cmath.exp(1j * alpha)))
-    if not gates:
-        gates.append(SingleQubit(target, np.eye(2, dtype=complex)))
     return gates
 
 

@@ -280,6 +280,12 @@ class TestErrorPaths:
             ["crossover", "--log-n-base", "7"],
             ["frobnicate"],
             [],
+            ["sweep", "--steps", "3", "--range", "10", "inf"],
+            ["sweep", "--steps", "2", "--s", "inf"],
+            ["sweep", "--base-ratio", "-5"],
+            ["crossover", "--s", "inf"],
+            ["crossover", "--k", "inf"],
+            ["crossover", "--base-ratio", "inf"],
         ],
     )
     def test_usage_errors_exit_one(self, capsys, argv):

@@ -51,6 +51,10 @@ class TestParams:
             {"s": 1, "k": 1, "epsilon": 1.0},  # open interval: 1 excluded
             {"s": 1, "k": 1, "epsilon": 0.5, "log_n_base": "3"},
             {"s": 1, "k": 1, "epsilon": 0.5, "log_eps_base": "ln"},
+            {"s": math.inf, "k": 1, "epsilon": 0.5},
+            {"s": math.nan, "k": 1, "epsilon": 0.5},
+            {"s": 1, "k": math.inf, "epsilon": 0.5},
+            {"s": 1, "k": math.nan, "epsilon": 0.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -219,9 +223,20 @@ class TestFindCrossover:
         with pytest.raises(NumericalError, match="no crossover.*quantum"):
             find_crossover(classical, QUANTUM_CONSERVATIVE, 1e9)
 
-    def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(InputError):
-            find_crossover(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 0.0)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            lambda ratio: find_crossover(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, ratio),
+            lambda ratio: sweep(
+                CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, ratio, (10.0, 2000.0), 5
+            ),
+        ],
+        ids=["find_crossover", "sweep"],
+    )
+    @pytest.mark.parametrize("ratio", [0.0, -5.0, math.inf, math.nan])
+    def test_rejects_nonpositive_ratio(self, model, ratio):
+        with pytest.raises(InputError, match="constant_ratio"):
+            model(ratio)
 
 
 class TestSweep:
@@ -254,6 +269,8 @@ class TestSweep:
     def test_range_validation(self):
         with pytest.raises(InputError):
             sweep(CLASSICAL_9BUS, QUANTUM_9BUS, 34.0, (1.0, 100.0), 10)
+        with pytest.raises(InputError):
+            sweep(CLASSICAL_9BUS, QUANTUM_9BUS, 34.0, (10.0, math.inf), 3)
         with pytest.raises(InputError):
             sweep(CLASSICAL_9BUS, QUANTUM_9BUS, 34.0, (10.0, 100.0), 0)
 

@@ -15,6 +15,7 @@ from qpf.qsim import (
     h,
     is_lowered,
     lower_to_basis,
+    metrics,
     ry,
 )
 from qpf.qsim.circuit import _ry_matrix
@@ -85,6 +86,15 @@ def test_uncontrolled_multi_qubit_unitary(rng):
     gate = ControlledUnitary((), (0, 1), random_unitary(rng, 4))
     circuit = Circuit(2, [gate])
     assert_equivalent(circuit, lower_to_basis(circuit))
+
+
+def test_uncontrolled_single_qubit_unitary_is_a_basis_gate(rng):
+    u = random_unitary(rng, 2)
+    circuit = Circuit(1, [ControlledUnitary((), (0,), u)])
+    (gate,) = lower_to_basis(circuit).gates
+    assert isinstance(gate, SingleQubit)
+    np.testing.assert_array_equal(gate.u, u)
+    assert metrics(circuit) == metrics(Circuit(1, [SingleQubit(0, u)]))
 
 
 def test_lowering_is_idempotent(rng):
