@@ -89,6 +89,20 @@ def base_speed_ratio(
     return t_classical(n, classical) / t_quantum(n, quantum)
 
 
+def _costs(
+    n: float, classical: ComplexityParams, quantum: ComplexityParams, constant_ratio: float
+) -> tuple[float, float, float]:
+    """``(n, classical cost, scaled quantum cost)``; NumericalError when a cost overflows."""
+    n = float(n)  # float arithmetic: overflow reads inf or raises, never warns
+    try:
+        row = (n, t_classical(n, classical), constant_ratio * t_quantum(n, quantum))
+    except OverflowError:
+        row = (n, math.inf, math.inf)
+    if not all(map(math.isfinite, row)):
+        raise NumericalError(f"model cost at n = {n:g} is not finite")
+    return row
+
+
 def _convention(classical: ComplexityParams, quantum: ComplexityParams) -> str:
     return (
         f"classical = n*s*k*log_{classical.log_eps_base}(1/eps); "
@@ -106,23 +120,25 @@ def find_crossover(
 
     Scans a log-spaced grid over [2, 1e7] for a sign change, then bisects to
     1e-6 relative tolerance.  Raises NumericalError when one model dominates
-    the whole range.
+    the whole range or a model cost is not finite.
     """
     _check_ratio(constant_ratio)
 
     def gap(n: float) -> float:
-        return constant_ratio * t_quantum(n, quantum) - t_classical(n, classical)
+        _, c_cost, q_cost = _costs(n, classical, quantum, constant_ratio)
+        return q_cost - c_cost
 
     lo_end, hi_end = SEARCH_RANGE
     grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES)
-    values = [gap(n) for n in grid]
+    samples = [_costs(n, classical, quantum, constant_ratio) for n in grid]
+    values = [q_cost - c_cost for _, c_cost, q_cost in samples]
     bracket = None
     for left, right, f_left, f_right in zip(grid, grid[1:], values, values[1:]):
         if f_left == 0.0:
-            bracket = (left, left)
+            bracket = (left, left, f_left)
             break
         if f_left * f_right < 0:
-            bracket = (left, right)
+            bracket = (left, right, f_left)
             break
     if bracket is None:
         side = "classical" if values[0] < 0 else "quantum"
@@ -130,24 +146,21 @@ def find_crossover(
             f"no crossover in [{lo_end:g}, {hi_end:g}]: {side} model dominates"
         )
 
-    lo, hi = bracket
+    lo, hi, f_lo = bracket
     while hi - lo > BISECT_REL_TOL * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
-        if gap(lo) * gap(mid) <= 0:
+        f_mid = gap(mid)
+        if f_lo * f_mid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
     n_star = 0.5 * (lo + hi)
 
-    report_samples = [
-        (float(n), t_classical(n, classical), constant_ratio * t_quantum(n, quantum))
-        for n in grid
-    ]
     return CrossoverReport(
         n_star=float(n_star),
         constant_ratio=float(constant_ratio),
         convention=_convention(classical, quantum),
-        samples=report_samples,
+        samples=samples,
     )
 
 
@@ -158,7 +171,7 @@ def sweep(
     n_range: tuple[float, float],
     steps: int,
 ) -> list[tuple[float, float, float]]:
-    """Log-spaced cost samples (n, classical, scaled quantum) for plotting."""
+    """Log-spaced cost samples (n, classical, scaled quantum); NumericalError on overflow."""
     _check_ratio(constant_ratio)
     lo, hi = n_range
     if not (2 <= lo <= hi and math.isfinite(hi)):
@@ -169,10 +182,7 @@ def sweep(
         grid = [lo] if steps == 1 else [lo] * steps
     else:
         grid = np.geomspace(lo, hi, steps)
-    return [
-        (float(n), t_classical(n, classical), constant_ratio * t_quantum(n, quantum))
-        for n in grid
-    ]
+    return [_costs(n, classical, quantum, constant_ratio) for n in grid]
 
 
 def _sig6(value: float) -> str:

@@ -160,56 +160,49 @@ def _two_level_decompose(w: np.ndarray):
     return rotations, phases
 
 
-def _mcx_on_state(state: int, flip_bit: int, local: list[int], memo: _Memo) -> list[Gate]:
-    """X on local bit ``flip_bit`` conditioned on every other bit of ``state``."""
-    controls = [b for b in range(len(local)) if b != flip_bit]
-    pattern = [(state >> b) & 1 for b in controls]
-    return _mc_single(_X, [local[b] for b in controls], pattern, local[flip_bit], memo)
-
-
 def _two_level_gates(
     i1: int, i2: int, v: np.ndarray, local: list[int], memo: _Memo
 ) -> list[Gate]:
     """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>} of the local bits."""
-    width = len(local)
-    diff_bits = [b for b in range(width) if (i1 ^ i2) >> b & 1]
+    diff_bits = [b for b in range(len(local)) if (i1 ^ i2) >> b & 1]
     last = diff_bits[-1]
     # Walk |i1> to the neighbour of |i2> across the other differing bits.
     walk: list[Gate] = []
     state = i1
     for b in diff_bits[:-1]:
-        walk.extend(_mcx_on_state(state, b, local, memo))
+        walk.extend(_on_bit(_X, b, state, local, memo))
         state ^= 1 << b
     # Now state == i2 ^ (1 << last).  The 2x2 acts on local bit ``last`` with
     # all other bits pinned to i2's values; if i2 has bit ``last`` = 0 the
     # (i1, i2) ordering is the reversed qubit basis, so conjugate by X.
     u = v if (i2 >> last) & 1 else _X @ v @ _X
-    controls = [b for b in range(width) if b != last]
-    pattern = [(i2 >> b) & 1 for b in controls]
-    core = _mc_single(u, [local[b] for b in controls], pattern, local[last], memo)
+    core = _on_bit(u, last, i2, local, memo)
     return walk + core + [memo.invert(g) for g in reversed(walk)]
 
 
 def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> list[Gate]:
     """diag phase e^{i phi} on basis state |idx> of the local bits."""
-    controls = list(range(1, len(local)))
-    pattern = [(idx >> b) & 1 for b in controls]
     if idx & 1:
         u = np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
     else:
         u = np.diag([cmath.exp(1j * phi), 1.0]).astype(complex)
-    return _mc_single(u, [local[b] for b in controls], pattern, local[0], memo)
+    return _on_bit(u, 0, idx, local, memo)
 
 
 # -- multi-controlled single-qubit gates ------------------------------------
 
 
-def _mc_single(
-    u: np.ndarray, controls: list[int], pattern: list[int], target: int, memo: _Memo
+def _on_bit(
+    u: np.ndarray, bit: int, state: int, local: list[int], memo: _Memo
 ) -> list[Gate]:
-    """Lower u-on-target with (control, required-bit) conditions to the basis."""
-    wraps = [x(c) for c, bit in zip(controls, pattern) if bit == 0]
-    return [*wraps, *_mc_ones(u, controls, target, memo), *wraps]
+    """2x2 ``u`` on local bit ``bit`` where every other local bit reads ``state``.
+
+    The 0-bits of ``state`` are X-wrapped, so the core is all-ones controlled.
+    """
+    controls = [b for b in range(len(local)) if b != bit]
+    wraps = [x(local[b]) for b in controls if not (state >> b) & 1]
+    core = _mc_ones(u, [local[b] for b in controls], local[bit], memo)
+    return [*wraps, *core, *wraps]
 
 
 def _mc_ones(

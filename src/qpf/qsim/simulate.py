@@ -14,6 +14,7 @@ import numpy as np
 
 from qpf.errors import InputError, PostSelectionError
 from qpf.qsim.circuit import (
+    _X,
     Circuit,
     Cnot,
     ControlledUnitary,
@@ -21,11 +22,6 @@ from qpf.qsim.circuit import (
     SingleQubit,
     UniformlyControlledRy,
     _ry_matrix,
-)
-
-# CNOT as a 4x4 in (control, target) bit order: index = control*2 + target.
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
 MIN_POST_SELECT_PROB = 1e-12
@@ -37,63 +33,58 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_on_axes(arr: np.ndarray, mat: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply ``mat`` to tensor ``arr`` where ``axes[k]`` holds matrix bit k."""
-    m = len(axes)
-    mat_t = np.asarray(mat, dtype=complex).reshape([2] * (2 * m))
-    # mat axis m+j carries input bit m-1-j; contract it with the matching axis.
-    contract = [axes[m - 1 - j] for j in range(m)]
-    out = np.tensordot(mat_t, arr, axes=(list(range(m, 2 * m)), contract))
-    return np.moveaxis(out, range(m), contract)
-
-
 def _axis(num_qubits: int, qubit: int) -> int:
     return num_qubits - 1 - qubit
 
 
-def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    psi = state.reshape([2] * num_qubits)
+def _controlled_form(gate: Gate):
+    """``(controls, pattern, targets, u)``: ``u`` acts on ``targets`` where
+    control i reads bit i of ``pattern``; ``targets[j]`` is matrix bit j."""
     if isinstance(gate, SingleQubit):
-        psi = _apply_on_axes(psi, gate.u, [_axis(num_qubits, gate.target)])
-    elif isinstance(gate, Cnot):
-        axes = [_axis(num_qubits, gate.target), _axis(num_qubits, gate.control)]
-        psi = _apply_on_axes(psi, _CNOT, axes)
-    elif isinstance(gate, ControlledUnitary):
-        psi = psi.copy()
-        sel = [slice(None)] * num_qubits
-        for i, c in enumerate(gate.controls):
-            sel[_axis(num_qubits, c)] = (gate.pattern >> i) & 1
-        # Axis positions of the targets inside the control-sliced view.
-        sub_axes = []
-        for t in gate.targets:
-            shift = sum(1 for c in gate.controls if c > t)
-            sub_axes.append(_axis(num_qubits, t) - shift)
-        psi[tuple(sel)] = _apply_on_axes(psi[tuple(sel)], gate.u, sub_axes)
-    elif isinstance(gate, UniformlyControlledRy):
-        # Equivalent block-diagonal matrix over (target, controls) with the
-        # target as bit 0: block m is Ry(angles[m]).
-        k = len(gate.controls)
-        big = np.zeros((2 ** (k + 1), 2 ** (k + 1)), dtype=complex)
-        for m_val in range(2**k):
-            big[2 * m_val : 2 * m_val + 2, 2 * m_val : 2 * m_val + 2] = _ry_matrix(
-                float(gate.angles[m_val])
-            )
-        axes = [_axis(num_qubits, q) for q in (gate.target,) + gate.controls]
-        psi = _apply_on_axes(psi, big, axes)
-    else:
-        raise InputError(f"unknown gate type {type(gate).__name__}")
-    return psi.reshape(-1)
+        return (), 0, (gate.target,), gate.u
+    if isinstance(gate, Cnot):
+        return (gate.control,), 1, (gate.target,), _X
+    if isinstance(gate, ControlledUnitary):
+        return gate.controls, gate.pattern, gate.targets, gate.u
+    if isinstance(gate, UniformlyControlledRy):
+        # With the target as matrix bit 0, block m of the diagonal is Ry(angles[m]).
+        u = np.zeros((2 * len(gate.angles),) * 2, dtype=complex)
+        for m, angle in enumerate(gate.angles):
+            u[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = _ry_matrix(float(angle))
+        return (), 0, (gate.target, *gate.controls), u
+    raise InputError(f"unknown gate type {type(gate).__name__}")
+
+
+def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
+    return apply_circuit(state, Circuit(num_qubits, [gate]))
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Run every gate in order; returns a new statevector."""
+    """Run every gate in order on one copy of ``state``, updated in place.
+
+    The two scratch buffers are made once per call: a fresh state-sized
+    temporary per gate costs a page fault per page.
+    """
     n = circuit.num_qubits
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2**n,):
-        raise InputError(f"state dimension {state.shape} != ({2**n},)")
-    out = state.copy()
+    out = np.array(state, dtype=complex)
+    if out.shape != (2**n,):
+        raise InputError(f"state dimension {out.shape} != ({2**n},)")
+    psi = out.reshape([2] * n)
+    gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:
-        out = apply_gate(out, gate, n)
+        controls, pattern, targets, u = _controlled_form(gate)
+        sel = [slice(None)] * n
+        for i, c in enumerate(controls):
+            sel[_axis(n, c)] = (pattern >> i) & 1
+        # Target axes of the control-sliced view, most significant matrix bit
+        # first, moved to the front so the view reads as a (2^m, rest) matrix.
+        front = [_axis(n, t) - sum(c > t for c in controls) for t in reversed(targets)]
+        block = np.moveaxis(psi[tuple(sel)], front, range(len(targets)))
+        x = gathered[: block.size].reshape(block.shape)
+        x[...] = block
+        y = product[: block.size].reshape(len(u), -1)
+        np.matmul(u, x.reshape(len(u), -1), out=y)
+        block[...] = y.reshape(block.shape)
     return out
 
 

@@ -294,6 +294,21 @@ class TestErrorPaths:
         assert code == 1
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crossover", "--s", "1e200"],
+            ["sweep", "--s", "1e200"],
+            ["sweep", "--steps", "2", "--range", "10", "1e308"],
+        ],
+    )
+    def test_model_overflow_is_numerical_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("numerical error:")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
     def test_invalid_network_schema(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"base_mva": 100.0, "buses": [], "branches": []}))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import qpf.complexity as complexity
 from qpf.complexity import (
     ComplexityParams,
     CrossoverReport,
@@ -183,6 +184,17 @@ class TestFindCrossover:
         below = [c < q for n, c, q in report.samples if n < report.n_star]
         above = [c > q for n, c, q in report.samples if n > report.n_star]
         assert all(below) and all(above)
+
+    def test_each_model_runs_once_per_point(self, monkeypatch):
+        seen = []
+        for name in ("t_classical", "t_quantum"):
+            model = getattr(complexity, name)
+            monkeypatch.setattr(
+                complexity, name,
+                lambda n, p, model=model, name=name: seen.append((name, n)) or model(n, p),
+            )
+        find_crossover(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 34.0)
+        assert len(seen) == len(set(seen)) > 2 * complexity.CROSSOVER_SAMPLES
 
     def test_against_brute_force_scan(self):
         classical = ComplexityParams(s=2, k=0.5, epsilon=0.25, log_eps_base="e")

@@ -110,6 +110,40 @@ def test_apply_circuit_rejects_wrong_length():
         apply_circuit(np.ones(3), Circuit(2))
 
 
+def test_apply_gate_rejects_out_of_range_qubit():
+    # A qubit past the register must not wrap onto another tensor axis.
+    with pytest.raises(InputError, match="range"):
+        apply_gate(zero_state(2), x(2), 2)
+
+
+def test_apply_gate_rejects_wrong_length():
+    with pytest.raises(InputError, match="dimension"):
+        apply_gate(np.ones(3), x(0), 2)
+
+
+def _one_gate_of_each_kind(rng):
+    return [
+        ry(1, 0.3),
+        Cnot(2, 0),
+        ControlledUnitary((0,), (2, 1), random_unitary(rng, 4), control_pattern=0),
+        UniformlyControlledRy((2, 0), 1, rng.uniform(-np.pi, np.pi, size=4)),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_input_state_is_left_untouched(rng, kind):
+    gate = _one_gate_of_each_kind(rng)[kind]
+    state = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state /= np.linalg.norm(state)
+    kept = state.copy()
+    state.flags.writeable = False
+    want = dense_circuit(Circuit(3, [gate])) @ kept
+    for out in (apply_gate(state, gate, 3), apply_circuit(state, Circuit(3, [gate]))):
+        np.testing.assert_allclose(out, want, atol=1e-12)
+        assert not np.shares_memory(out, state)
+    assert state.tobytes() == kept.tobytes()
+
+
 def test_circuit_inverse_undoes(rng):
     circuit = random_circuit(rng, 3, length=10)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
