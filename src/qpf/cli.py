@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from qpf import __version__
 from qpf.complexity import (
@@ -175,12 +176,10 @@ def _cmd_metrics(args) -> str:
     system = build_reduced_system(_load(args))
     circuit, *_ = plan_hhl(system, HHLConfig(alpha=args.alpha))
     result = circuit_metrics(circuit)
-    payload = {"width": result.width, "depth": result.depth,
-               "cnot_count": result.cnot_count}
     if args.format == "text":
         return (f"width  {result.width}\ndepth  {result.depth}\n"
                 f"cnots  {result.cnot_count}\n")
-    return _json(payload)
+    return _json(asdict(result))
 
 
 def _params(args) -> tuple[ComplexityParams, ComplexityParams]:

@@ -20,7 +20,7 @@ eigendecomposition of B, and probabilities come from amplitudes, not shots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from qpf.errors import InputError, NumericalError
 from qpf.grid import ReducedSystem, solve_dc
 from qpf.qsim import (
     Circuit,
+    CircuitMetrics,
     Cnot,
     ControlledUnitary,
     UniformlyControlledRy,
@@ -39,7 +40,6 @@ from qpf.qsim import (
     prepare_state,
     zero_state,
 )
-from qpf.qsim.metrics import CircuitMetrics
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,7 @@ class HHLResult:
             "recovered_norm": self.recovered_norm,
             "fidelity": self.fidelity,
             "residual_clock_leak": self.residual_clock_leak,
-            "metrics": {
-                "width": self.metrics.width,
-                "depth": self.metrics.depth,
-                "cnot_count": self.metrics.cnot_count,
-            },
+            "metrics": asdict(self.metrics),
             "config": dict(self.config),
         }
 

@@ -1,8 +1,9 @@
 """Lowering of arbitrary gates to the {CNOT, single-qubit} basis.
 
-Chain: ControlledUnitary -> two-level (Givens) decomposition over the gate's
-local qubits -> Gray-code multi-controlled single-qubit rotations -> standard
-CNOT ladder identities (ZYZ for one control, square-root recursion for more).
+Chain: ControlledUnitary -> two-level (Givens) decomposition of its 2^m
+block, offset to the block's basis states over the gate's local qubits ->
+Gray-code multi-controlled single-qubit rotations -> standard CNOT ladder
+identities (ZYZ for one control, square-root recursion for more).
 UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.  A one-qubit
 ControlledUnitary with no controls is already a basis gate: a SingleQubit.
 
@@ -113,19 +114,16 @@ def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     if not gate.controls and len(gate.targets) == 1:
         return [SingleQubit(gate.targets[0], gate.u)]  # already a basis gate
     # Local register: targets first (low bits), controls above them, so the
-    # active block of the embedded unitary is the trailing diagonal block.
+    # gate is identity but on the 2^m basis states from pattern << m up, where
+    # it acts as u: decomposing u alone and offsetting its indices suffices.
     local = list(gate.targets) + list(gate.controls)
-    m, k = len(gate.targets), len(gate.controls)
-    dim = 2 ** (m + k)
-    w = np.eye(dim, dtype=complex)
-    base = gate.pattern << m
-    w[base : base + 2**m, base : base + 2**m] = gate.u
-    rotations, phases = _two_level_decompose(w)
+    base = gate.pattern << len(gate.targets)
+    rotations, phases = _two_level_decompose(gate.u)
     gates: list[Gate] = []
     for idx, phi in phases:
-        gates.extend(_one_level_phase(idx, phi, local, memo))
+        gates.extend(_one_level_phase(base + idx, phi, local, memo))
     for i1, i2, v in reversed(rotations):
-        gates.extend(_two_level_gates(i1, i2, v.conj().T, local, memo))
+        gates.extend(_two_level_gates(base + i1, base + i2, v.conj().T, local, memo))
     return gates
 
 
@@ -270,9 +268,6 @@ def _zyz(u: np.ndarray):
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
     """Principal square root of a 2x2 unitary."""
-    if abs(u[0, 1]) < 1e-15 and abs(u[1, 0]) < 1e-15:
-        return np.diag([cmath.exp(1j * cmath.phase(u[0, 0]) / 2) * math.sqrt(abs(u[0, 0])),
-                        cmath.exp(1j * cmath.phase(u[1, 1]) / 2) * math.sqrt(abs(u[1, 1]))])
     vals, vecs = np.linalg.eig(u)
     roots = np.array([cmath.exp(1j * cmath.phase(lam) / 2) for lam in vals])
     return (vecs * roots) @ np.linalg.inv(vecs)

@@ -39,7 +39,8 @@ def _axis(num_qubits: int, qubit: int) -> int:
 
 def _controlled_form(gate: Gate):
     """``(controls, pattern, targets, u)``: ``u`` acts on ``targets`` where
-    control i reads bit i of ``pattern``; ``targets[j]`` is matrix bit j."""
+    control i reads bit i of ``pattern``; ``targets[j]`` is matrix bit j.
+    A stack ``u[m]`` acts on the low target bits where the high ones read m."""
     if isinstance(gate, SingleQubit):
         return (), 0, (gate.target,), gate.u
     if isinstance(gate, Cnot):
@@ -47,10 +48,7 @@ def _controlled_form(gate: Gate):
     if isinstance(gate, ControlledUnitary):
         return gate.controls, gate.pattern, gate.targets, gate.u
     if isinstance(gate, UniformlyControlledRy):
-        # With the target as matrix bit 0, block m of the diagonal is Ry(angles[m]).
-        u = np.zeros((2 * len(gate.angles),) * 2, dtype=complex)
-        for m, angle in enumerate(gate.angles):
-            u[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = _ry_matrix(float(angle))
+        u = np.array([_ry_matrix(float(a)) for a in gate.angles])
         return (), 0, (gate.target, *gate.controls), u
     raise InputError(f"unknown gate type {type(gate).__name__}")
 
@@ -77,13 +75,14 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
         for i, c in enumerate(controls):
             sel[_axis(n, c)] = (pattern >> i) & 1
         # Target axes of the control-sliced view, most significant matrix bit
-        # first, moved to the front so the view reads as a (2^m, rest) matrix.
+        # first, moved to the front so the view reads as a (batch, row, rest) stack.
         front = [_axis(n, t) - sum(c > t for c in controls) for t in reversed(targets)]
         block = np.moveaxis(psi[tuple(sel)], front, range(len(targets)))
         x = gathered[: block.size].reshape(block.shape)
         x[...] = block
-        y = product[: block.size].reshape(len(u), -1)
-        np.matmul(u, x.reshape(len(u), -1), out=y)
+        shape = (-1, u.shape[-1], block.size >> len(targets))
+        y = product[: block.size].reshape(shape)
+        np.matmul(u, x.reshape(shape), out=y)
         block[...] = y.reshape(block.shape)
     return out
 
@@ -101,7 +100,7 @@ def post_select(state: np.ndarray, qubit: int, outcome: int) -> PostSelection:
     """
     if outcome not in (0, 1):
         raise InputError("outcome must be 0 or 1")
-    n = int(math.log2(len(state)))
+    n = len(state).bit_length() - 1
     if 2**n != len(state):
         raise InputError("state length is not a power of two")
     if not 0 <= qubit < n:

@@ -18,7 +18,7 @@ from qpf.qsim import (
     metrics,
     ry,
 )
-from qpf.qsim.circuit import _ry_matrix
+from qpf.qsim.circuit import _ry_matrix, _rz_matrix
 
 
 def assert_equivalent(circuit, lowered, atol=1e-10):
@@ -135,6 +135,28 @@ def test_wscc9_gate_sequence_is_pinned(wscc9_system):
     assert text.count("\n") == 52229
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0930c7a1344e42211d19d905c85e170e3bc5b5c08bf07452ef691933e8819230"
+    )
+
+
+def _dump_digest(circuit) -> tuple[int, str]:
+    text = dump(lower_to_basis(circuit))
+    return text.count("\n"), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_wscc9_alpha5_gate_sequence_is_pinned(wscc9_system):
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+    assert _dump_digest(circuit) == (
+        87139, "070d961bbee65db654d207effaf457561b2fcf4148f7e357d4d92d1d92f8f119"
+    )
+
+
+def test_patterned_six_control_gate_sequence_is_pinned():
+    # Six controls reading pattern 0b000101: X-wrapped controls and a block
+    # that sits neither first nor last among the 2^7 local basis states.
+    u = _ry_matrix(0.3) @ _rz_matrix(1.1)
+    gate = ControlledUnitary(tuple(range(1, 7)), (0,), u, 5)
+    assert _dump_digest(Circuit(7, [gate])) == (
+        3565, "1d91b9689dbaab2cd07b47b59d13dd2b2dae82cff7612c99106dc8e7d6c721be"
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ def test_ucry_selects_angle_by_control_value():
     state = apply_gate(zero_state(3), x(2), 3)
     out = apply_gate(state, gate, 3)
     np.testing.assert_allclose(out[0b100], 1.0, atol=1e-15)
+
+
+def test_ucry_builds_no_dense_block():
+    # A dense 2^11-square block-diagonal form of this gate is 64 MiB; the
+    # state and its two scratch buffers are 32 KiB each.
+    gate = UniformlyControlledRy(tuple(range(1, 11)), 0, np.linspace(0.1, 2.0, 2**10))
+    circuit, state = Circuit(11, [gate]), zero_state(11)
+    tracemalloc.start()
+    try:
+        apply_circuit(state, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -267,6 +283,10 @@ class TestPostSelect:
     def test_bad_qubit(self):
         with pytest.raises(InputError):
             post_select(zero_state(1), 1, 0)
+
+    def test_empty_state(self):
+        with pytest.raises(InputError, match="power of two"):
+            post_select(np.array([]), 0, 0)
 
 
 def _dumped_numbers(gate) -> list[float]:
