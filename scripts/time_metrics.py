@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Wall time of ``qpf.qsim.metrics`` on wscc9 and on seeded ring networks.
+
+    python3 scripts/time_metrics.py [--repeats 3]
+
+Run from the root of a source checkout; qpf is imported from its ``src``
+directory and the rings come from ``perfbench/netgen.py``.  BLAS runs on one
+thread.  Each case plans its circuit once, then times ``metrics`` on it
+``--repeats`` times and prints width/depth/CNOTs with the median and the
+minimum in seconds.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import netgen  # noqa: E402
+from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
+from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
+from qpf.qsim import metrics  # noqa: E402
+
+RING_SEED = 17017  # the seed of the benchmark's 17-bus ring
+
+# name -> (network factory, alpha)
+CASES = {
+    "wscc9-a5": (lambda: load_fixture("wscc9"), 5),
+    "ring17-a5": (lambda: network_from_dict(netgen.ring_chord_network(17, RING_SEED)), 5),
+    "ring33-a1": (lambda: network_from_dict(netgen.ring_chord_network(33, RING_SEED)), 1),
+}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    for name, (make_network, alpha) in CASES.items():
+        circuit, *_ = plan_hhl(build_reduced_system(make_network()), HHLConfig(alpha=alpha))
+        times = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            result = metrics(circuit)
+            times.append(time.perf_counter() - start)
+        print(f"{name:10s} {result.width}/{result.depth}/{result.cnot_count}  "
+              f"median {statistics.median(times):.3f} s  min {min(times):.3f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -42,6 +42,11 @@ from qpf.qsim import (
 )
 
 
+# Largest statevector plan_hhl builds a circuit for: 2^24 complex128
+# amplitudes (24 qubits, 256 MiB).  The benchmark's largest case has 16.
+MAX_STATEVECTOR_BYTES = 16 * 2**24
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectrum of the (padded) system matrix: ascending lambdas, column vectors."""
@@ -249,6 +254,9 @@ def plan_hhl(
 ) -> tuple[Circuit, SpectralScaling, int, float]:
     """Pad the system and build its pipeline circuit.
 
+    Raises InputError before any eigendecomposition or circuit build when the
+    circuit's statevector would exceed ``MAX_STATEVECTOR_BYTES``.
+
     Returns (circuit, scaling, beta, p_norm): beta is the solution-register
     width after padding and p_norm the norm of the unpadded injections.
     """
@@ -261,6 +269,13 @@ def plan_hhl(
         raise InputError("injection vector is zero; nothing to prepare")
 
     b_pad, p_pad, beta = _pad_system(b, p)
+    width = beta + config.alpha + 1
+    state_bytes = 16 * 2**width
+    if state_bytes > MAX_STATEVECTOR_BYTES:
+        raise InputError(
+            f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
+            f"over the {MAX_STATEVECTOR_BYTES}-byte limit"
+        )
     eig = eigendecompose(b_pad)
     scaling = choose_scaling(eig, config.alpha, config.t_override, config.c_override)
     return build_hhl_circuit(eig, p_pad / p_norm, scaling), scaling, beta, p_norm

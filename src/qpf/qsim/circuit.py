@@ -9,7 +9,9 @@ row/column index.
 Gates are frozen dataclasses that check themselves once, when made (distinct
 qubits, unitarity to 1e-10, pattern width, angle count); a Circuit is an
 ordered gate list over a fixed-width register whose ``append`` checks only the
-width, so every stored circuit is well-formed by construction.
+width.  ``lower_to_basis`` splices lowered blocks into the list without that
+check, since each lies on the qubits of an input gate whose circuit already
+checked them; so every stored circuit is well-formed by construction.
 """
 
 from __future__ import annotations

@@ -63,13 +63,17 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit using only Cnot and SingleQubit gates."""
     out = Circuit(circuit.num_qubits)
     memo = _Memo()
+    # Every gate lowered from an input gate lies on that gate's qubits, which
+    # the input circuit already range-checked, so blocks are spliced into
+    # out.gates without Circuit.append's per-gate width check.
+    gates = out.gates
     for gate in circuit.gates:
         if isinstance(gate, (SingleQubit, Cnot)):
-            out.append(gate)
+            gates.append(gate)
         elif isinstance(gate, UniformlyControlledRy):
-            out.extend(_lower_ucry(gate))
+            gates.extend(_lower_ucry(gate))
         elif isinstance(gate, ControlledUnitary):
-            out.extend(_lower_cu(gate, memo))
+            gates.extend(_lower_cu(gate, memo))
         else:
             raise InputError(f"unknown gate type {type(gate).__name__}")
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qpf.qsim.circuit import Circuit, Cnot, gate_qubits
+from qpf.qsim.circuit import Circuit, Cnot
 from qpf.qsim.lower import lower_to_basis
 
 
@@ -24,15 +24,14 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
     """
     lowered = lower_to_basis(circuit)
     ready = [0] * circuit.num_qubits
-    depth = 0
     cnots = 0
-    for gate in lowered.gates:
-        qubits = gate_qubits(gate)
-        t = 1 + max(ready[q] for q in qubits)
-        for q in qubits:
-            ready[q] = t
-        if t > depth:
-            depth = t
+    for gate in lowered.gates:  # only Cnot and SingleQubit after lowering
         if isinstance(gate, Cnot):
+            c, t = gate.control, gate.target
+            # A conditional, not max(): this runs once per lowered CNOT.
+            layer = (ready[c] if ready[c] > ready[t] else ready[t]) + 1
+            ready[c] = ready[t] = layer
             cnots += 1
-    return CircuitMetrics(width=circuit.num_qubits, depth=depth, cnot_count=cnots)
+        else:
+            ready[gate.target] += 1
+    return CircuitMetrics(width=circuit.num_qubits, depth=max(ready), cnot_count=cnots)

@@ -73,6 +73,26 @@ def dense_circuit(circuit: Circuit) -> np.ndarray:
     return mat
 
 
+def asap_depth(circuit: Circuit) -> int:
+    """Depth by ASAP layering: each gate joins the first layer after the last
+    layer that holds any of its qubits, and the depth is the layer count.
+
+    Qubits are read off the gate's own fields, not through the package.
+    """
+    layers: list[set[int]] = []
+    for gate in circuit.gates:
+        qubits = {getattr(gate, name) for name in ("control", "target") if hasattr(gate, name)}
+        for name in ("controls", "targets"):
+            qubits.update(getattr(gate, name, ()))
+        slot = len(layers)
+        while slot and not layers[slot - 1] & qubits:
+            slot -= 1
+        if slot == len(layers):
+            layers.append(set())
+        layers[slot] |= qubits
+    return len(layers)
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)

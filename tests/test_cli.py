@@ -309,6 +309,14 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["metrics"], ["solve", "--method", "hhl"]])
+    def test_oversized_clock_fails_before_building(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--fixture", "wscc9", "--alpha", "64")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "68 qubits" in err
+        assert out == ""
+
     def test_invalid_network_schema(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"base_mva": 100.0, "buses": [], "branches": []}))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qpf.hhl as hhl_module
 from helpers import exact_grid_system
 from qpf.errors import InputError, NumericalError, PostSelectionError
 from qpf.grid import ReducedSystem, solve_dc
@@ -17,6 +18,7 @@ from qpf.hhl import (
     epsilon_from_fidelity,
     fidelity,
     lambda_of_clock,
+    plan_hhl,
     run_hhl,
 )
 from qpf.qsim import (
@@ -330,6 +332,19 @@ class TestRunHhl:
         system = diag_system([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(InputError, match="zero"):
             run_hhl(system)
+
+    def test_statevector_budget_is_checked_before_any_build(self, wscc9_system, monkeypatch):
+        def never(*args):
+            raise AssertionError("built past the size budget")
+
+        monkeypatch.setattr(hhl_module, "MAX_STATEVECTOR_BYTES", 16 * 2**6)
+        monkeypatch.setattr(hhl_module, "eigendecompose", never)
+        monkeypatch.setattr(hhl_module, "build_hhl_circuit", never)
+        # wscc9 pads to beta = 3, so alpha = 3 needs 7 qubits, 2048 bytes.
+        with pytest.raises(InputError, match=r"7 qubits needs a 2048-byte statevector"):
+            plan_hhl(wscc9_system, HHLConfig(alpha=3))
+        monkeypatch.undo()
+        assert plan_hhl(wscc9_system, HHLConfig(alpha=3))[0].num_qubits == 7
 
     def test_tiny_c_starves_post_selection(self):
         system = diag_system([1.0, 0.5], [1.0, 0.0])

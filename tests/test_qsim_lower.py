@@ -12,6 +12,7 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     dump,
+    gate_qubits,
     h,
     is_lowered,
     lower_to_basis,
@@ -125,6 +126,33 @@ def test_identity_lowering_emits_nothing_heavy():
     gate = ControlledUnitary((1,), (0,), np.eye(2, dtype=complex))
     lowered = lower_to_basis(Circuit(2, [gate]))
     assert_equivalent(Circuit(2, [gate]), lowered, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_targets", [1, 2])
+@pytest.mark.parametrize("patterned", [False, True])
+def test_lowered_controlled_unitary_stays_on_its_qubits(rng, n_targets, patterned):
+    # lower_to_basis splices lowered blocks without a width check; that is
+    # sound only if every emitted gate lies on the input gate's qubits.
+    for n_controls in range(4):
+        qs = [int(q) for q in rng.permutation(7)]
+        pattern = int(rng.integers(0, 2**n_controls)) if patterned else -1
+        gate = ControlledUnitary(
+            tuple(qs[n_targets : n_targets + n_controls]),
+            tuple(qs[:n_targets]),
+            random_unitary(rng, 2**n_targets),
+            pattern,
+        )
+        lowered = lower_to_basis(Circuit(7, [gate]))
+        assert lowered.gates
+        assert {q for g in lowered.gates for q in gate_qubits(g)} <= set(gate_qubits(gate))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_lowered_ucry_stays_on_its_qubits(rng, k):
+    qs = [int(q) for q in rng.permutation(7)]
+    gate = UniformlyControlledRy(tuple(qs[1 : k + 1]), qs[0], rng.uniform(-np.pi, np.pi, 2**k))
+    lowered = lower_to_basis(Circuit(7, [gate]))
+    assert {q for g in lowered.gates for q in gate_qubits(g)} <= set(gate_qubits(gate))
 
 
 def test_wscc9_gate_sequence_is_pinned(wscc9_system):

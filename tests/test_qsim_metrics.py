@@ -1,6 +1,8 @@
-from qpf.qsim import Circuit, Cnot, CircuitMetrics, h, metrics, ry, x
+import pytest
 
-from helpers import random_circuit
+from helpers import asap_depth, random_circuit
+from qpf.hhl import HHLConfig, plan_hhl
+from qpf.qsim import Circuit, Cnot, CircuitMetrics, h, lower_to_basis, metrics, ry, x
 
 
 def test_empty_circuit():
@@ -52,3 +54,28 @@ def test_depth_bounds_under_concatenation(rng):
     combined = Circuit(3, list(a.gates) + list(b.gates))
     da, db, dc = metrics(a).depth, metrics(b).depth, metrics(combined).depth
     assert max(da, db) <= dc <= da + db
+
+
+def test_asap_oracle_on_hand_circuits():
+    assert asap_depth(Circuit(3, [h(0), h(1), h(2)])) == 1
+    assert asap_depth(Circuit(2, [h(0), Cnot(0, 1), x(1)])) == 3
+    # x(2) waits for nothing, so it shares layer 1 with h(0).
+    assert asap_depth(Circuit(3, [h(0), Cnot(0, 1), x(2)])) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matches_asap_oracle_after_lowering(rng, n):
+    for _ in range(8):
+        circuit = random_circuit(rng, n, length=6)
+        lowered = lower_to_basis(circuit)
+        assert metrics(circuit) == CircuitMetrics(
+            width=n,
+            depth=asap_depth(lowered),
+            cnot_count=sum(isinstance(g, Cnot) for g in lowered.gates),
+        )
+
+
+def test_wscc9_alpha3_is_pinned(wscc9_system):
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=3))
+    assert metrics(circuit) == CircuitMetrics(width=7, depth=34156, cnot_count=14108)
+    assert asap_depth(lower_to_basis(circuit)) == 34156

@@ -228,6 +228,20 @@ class TestValidation:
         assert metrics(circuit).cnot_count == 23550
         assert len(calls) <= 10_000
 
+    def test_wscc9_metrics_append_only_input_gates(self, wscc9_system, monkeypatch):
+        # Lowered blocks are spliced in unchecked: no Circuit.append runs
+        # per lowered gate (87,139 of them at alpha = 5).
+        circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+        calls = []
+        append = Circuit.append
+        monkeypatch.setattr(
+            Circuit, "append", lambda self, g: calls.append(g) or append(self, g)
+        )
+        assert metrics(circuit).cnot_count == 23550
+        assert len(circuit.gates) == 66
+        n_calls = len(calls)
+        assert n_calls <= 66
+
 
 class TestPostSelect:
     def test_bell_state_collapse(self):
