@@ -4,7 +4,8 @@
     python3 scripts/time_metrics.py [--repeats 3]
 
 Run from the root of a source checkout; qpf is imported from its ``src``
-directory and the rings come from ``perfbench/netgen.py``.  BLAS runs on one
+directory and the rings come from ``perfbench/netgen.py`` with the seed of the
+benchmark's 17-bus ring (``perfbench/oracles.py``).  BLAS runs on one
 thread.  Each case plans its circuit once, then times ``metrics`` on it
 ``--repeats`` times and prints width/depth/CNOTs with the median and the
 minimum in seconds.
@@ -25,17 +26,22 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import netgen  # noqa: E402
+import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
 from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
 from qpf.qsim import metrics  # noqa: E402
 
-RING_SEED = 17017  # the seed of the benchmark's 17-bus ring
+
+def ring(buses: int):
+    return network_from_dict(netgen.ring_chord_network(buses, oracles.RING17_SEED))
+
 
 # name -> (network factory, alpha)
 CASES = {
     "wscc9-a5": (lambda: load_fixture("wscc9"), 5),
-    "ring17-a5": (lambda: network_from_dict(netgen.ring_chord_network(17, RING_SEED)), 5),
-    "ring33-a1": (lambda: network_from_dict(netgen.ring_chord_network(33, RING_SEED)), 1),
+    "wscc9-a11": (lambda: load_fixture("wscc9"), 11),
+    "ring17-a5": (lambda: ring(17), 5),
+    "ring33-a1": (lambda: ring(33), 1),
 }
 
 

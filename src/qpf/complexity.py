@@ -24,6 +24,7 @@ _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 SEARCH_RANGE = (2.0, 1.0e7)
 BISECT_REL_TOL = 1e-6
 CROSSOVER_SAMPLES = 200  # log-spaced grid points scanned for a sign change
+MAX_SWEEP_STEPS = 10**6  # sweep rows; each is a Python tuple
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def sweep(
     lo, hi = n_range
     if not (2 <= lo <= hi and math.isfinite(hi)):
         raise InputError("need 2 <= lo <= hi < inf")
-    if steps < 1:
-        raise InputError("steps must be >= 1")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise InputError(f"steps must lie in [1, {MAX_SWEEP_STEPS}]")
     if steps == 1 or lo == hi:
         grid = [lo] if steps == 1 else [lo] * steps
     else:

@@ -34,7 +34,6 @@ from qpf.qsim import (
     UniformlyControlledRy,
     apply_circuit,
     h,
-    invert_gate,
     metrics,
     post_select,
     prepare_state,
@@ -128,8 +127,8 @@ def choose_scaling(
     if eig.lambdas[0] <= 0:
         raise NumericalError("non-positive eigenvalue")
     t = 2.0 * math.pi * (m - 1) / (m * lam_max) if t_override is None else float(t_override)
-    if t <= 0:
-        raise InputError("t must be positive")
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise InputError(f"t must be positive and finite, got {t!r}")
     if lam_max * t / (2.0 * math.pi) > (m - 1) / m + 1e-12:
         raise InputError(
             f"t = {t!r} overflows the clock: lambda_max t / 2pi = "
@@ -192,7 +191,7 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
         u = (vectors * phases) @ vectors.conj().T
         circuit.append(ControlledUnitary((q,), targets, u))
     for gate in reversed(_qft_gates(clock)):
-        circuit.append(invert_gate(gate))
+        circuit.append(gate.inverse())
     return circuit
 
 

@@ -9,9 +9,7 @@ from qpf.qsim.circuit import (
     SingleQubit,
     UniformlyControlledRy,
     dump,
-    gate_qubits,
     h,
-    invert_gate,
     phase,
     ry,
     rz,
@@ -40,9 +38,7 @@ __all__ = [
     "apply_circuit",
     "apply_gate",
     "dump",
-    "gate_qubits",
     "h",
-    "invert_gate",
     "is_lowered",
     "lower_to_basis",
     "metrics",

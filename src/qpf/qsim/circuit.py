@@ -6,7 +6,8 @@ of the statevector index, so basis state ``|q_{n-1} ... q_1 q_0>`` has index
 ``ControlledUnitary.targets = (a, b)``, qubit ``a`` is bit 0 of the matrix
 row/column index.
 
-Gates are frozen dataclasses that check themselves once, when made (distinct
+Gates are frozen dataclasses, one class per kind holding all of that kind's
+behaviour (see ``Gate``), that check themselves once, when made (distinct
 qubits, unitarity to 1e-10, pattern width, angle count); a Circuit is an
 ordered gate list over a fixed-width register whose ``append`` checks only the
 width.  ``lower_to_basis`` splices lowered blocks into the list without that
@@ -55,45 +56,71 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
 
 
-def _check_gate(gate: Gate) -> None:
-    """Every check that depends on the gate alone; the width check is Circuit's."""
-    if isinstance(gate, SingleQubit):
-        _check_unitary(gate.u, 2)
-        return
-    qs = gate_qubits(gate)
-    if len(set(qs)) != len(qs):
-        raise InputError(f"gate reuses a qubit: {qs}")
-    if isinstance(gate, ControlledUnitary):
-        _check_unitary(gate.u, 2 ** len(gate.targets))
-        if not 0 <= gate.pattern < 2 ** len(gate.controls):
-            raise InputError("control pattern wider than control set")
-    elif isinstance(gate, UniformlyControlledRy):
-        if len(gate.angles) != 2 ** len(gate.controls):
-            raise InputError(f"{len(gate.angles)} angles for {len(gate.controls)} controls")
-        if not np.isfinite(gate.angles).all():
-            raise InputError("non-finite angle")
-
-
 class Gate:
-    """Base of the four gate types: a gate checks itself once, when it is made."""
-
-    __post_init__ = _check_gate
+    """Base of the four gate kinds.  Each kind's class defines ``__post_init__``
+    (every check that needs the gate alone, run once when it is made),
+    ``qubits`` (controls included), ``inverse()``, ``dump_line()`` and
+    ``controlled_form()``: the ``(controls, pattern, targets, u)`` the simulator
+    applies, ``u`` acting on ``targets`` (``targets[j]`` is matrix bit j) where
+    control i reads bit i of ``pattern``; a stack ``u[m]`` acts on the low
+    target bits where the high ones read m.
+    """
 
 
 @dataclass(frozen=True, eq=False)
 class SingleQubit(Gate):
-    """Any one-qubit unitary.  ``name``/``params`` drive ``dump`` and ``invert_gate``."""
+    """Any one-qubit unitary.  ``name``/``params`` drive ``dump_line`` and ``inverse``."""
 
     target: int
     u: np.ndarray
     name: str = "U"
     params: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_unitary(self.u, 2)
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.target,)
+
+    def inverse(self) -> SingleQubit:
+        if self.name in ("RY", "RZ", "P"):
+            return {"RY": ry, "RZ": rz, "P": phase}[self.name](self.target, -self.params[0])
+        if self.name in ("H", "X"):
+            return self  # self-inverse
+        return SingleQubit(self.target, self.u.conj().T)
+
+    def dump_line(self) -> str:
+        if self.name == "U":
+            return f"U {self.target} {_complex_fields(self.u)}"
+        tail = f" {_fmt(self.params)}" if self.params else ""
+        return f"{self.name} {self.target}{tail}"
+
+    def controlled_form(self):
+        return (), 0, (self.target,), self.u
+
 
 @dataclass(frozen=True)
 class Cnot(Gate):
     control: int
     target: int
+
+    def __post_init__(self) -> None:
+        if self.control == self.target:
+            raise InputError(f"gate reuses a qubit: {self.qubits}")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def inverse(self) -> Cnot:
+        return self
+
+    def dump_line(self) -> str:
+        return f"CNOT {self.target} [{self.control}]"
+
+    def controlled_form(self):
+        return (self.control,), 1, (self.target,), _X
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +136,34 @@ class ControlledUnitary(Gate):
     u: np.ndarray
     control_pattern: int = -1  # -1 means "all ones"
 
+    def __post_init__(self) -> None:
+        if len(set(self.qubits)) != len(self.qubits):
+            raise InputError(f"gate reuses a qubit: {self.qubits}")
+        _check_unitary(self.u, 2 ** len(self.targets))
+        if not 0 <= self.pattern < 2 ** len(self.controls):
+            raise InputError("control pattern wider than control set")
+
     @property
     def pattern(self) -> int:
         if self.control_pattern < 0:
             return (1 << len(self.controls)) - 1
         return self.control_pattern
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return self.controls + self.targets
+
+    def inverse(self) -> ControlledUnitary:
+        u = self.u.conj().T
+        return ControlledUnitary(self.controls, self.targets, u, self.control_pattern)
+
+    def dump_line(self) -> str:
+        ts = " ".join(map(str, self.targets))
+        cs = " ".join(map(str, self.controls))
+        return f"CU {ts} [{cs}] {self.pattern} {_complex_fields(self.u)}"
+
+    def controlled_form(self):
+        return self.controls, self.pattern, self.targets, self.u
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +176,29 @@ class UniformlyControlledRy(Gate):
     controls: tuple[int, ...]
     target: int
     angles: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(set(self.qubits)) != len(self.qubits):
+            raise InputError(f"gate reuses a qubit: {self.qubits}")
+        if len(self.angles) != 2 ** len(self.controls):
+            raise InputError(f"{len(self.angles)} angles for {len(self.controls)} controls")
+        if not np.isfinite(self.angles).all():
+            raise InputError("non-finite angle")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return self.controls + (self.target,)
+
+    def inverse(self) -> UniformlyControlledRy:
+        return UniformlyControlledRy(self.controls, self.target, -np.asarray(self.angles))
+
+    def dump_line(self) -> str:
+        cs = " ".join(map(str, self.controls))
+        return f"UCRY {self.target} [{cs}] {_fmt(self.angles)}"
+
+    def controlled_form(self):
+        u = np.array([_ry_matrix(float(a)) for a in self.angles])
+        return (), 0, (self.target, *self.controls), u
 
 
 def h(target: int) -> SingleQubit:
@@ -148,19 +221,6 @@ def phase(target: int, phi: float) -> SingleQubit:
     return SingleQubit(target, _phase_matrix(phi), "P", (phi,))
 
 
-def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    """All qubits a gate touches, controls included."""
-    if isinstance(gate, SingleQubit):
-        return (gate.target,)
-    if isinstance(gate, Cnot):
-        return (gate.control, gate.target)
-    if isinstance(gate, ControlledUnitary):
-        return gate.controls + gate.targets
-    if isinstance(gate, UniformlyControlledRy):
-        return gate.controls + (gate.target,)
-    raise InputError(f"unknown gate type {type(gate).__name__}")
-
-
 @dataclass
 class Circuit:
     num_qubits: int
@@ -174,7 +234,7 @@ class Circuit:
             self.append(g)
 
     def append(self, gate: Gate) -> None:
-        for q in gate_qubits(gate):
+        for q in gate.qubits:
             if not 0 <= q < self.num_qubits:
                 raise InputError(f"qubit {q} out of range for width {self.num_qubits}")
         self.gates.append(gate)
@@ -185,29 +245,7 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """Adjoint circuit: gates reversed and individually inverted."""
-        inv = Circuit(self.num_qubits)
-        for g in reversed(self.gates):
-            inv.append(invert_gate(g))
-        return inv
-
-
-def invert_gate(gate: Gate) -> Gate:
-    if isinstance(gate, SingleQubit):
-        if gate.name in ("RY", "RZ", "P"):
-            maker = {"RY": ry, "RZ": rz, "P": phase}[gate.name]
-            return maker(gate.target, -gate.params[0])
-        if gate.name in ("H", "X"):
-            return gate  # self-inverse
-        return SingleQubit(gate.target, gate.u.conj().T)
-    if isinstance(gate, Cnot):
-        return gate
-    if isinstance(gate, ControlledUnitary):
-        return ControlledUnitary(
-            gate.controls, gate.targets, gate.u.conj().T, gate.control_pattern
-        )
-    if isinstance(gate, UniformlyControlledRy):
-        return UniformlyControlledRy(gate.controls, gate.target, -np.asarray(gate.angles))
-    raise InputError(f"unknown gate type {type(gate).__name__}")
+        return Circuit(self.num_qubits, [g.inverse() for g in reversed(self.gates)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +272,4 @@ def _complex_fields(m: np.ndarray) -> str:
 
 
 def dump(circuit: Circuit) -> str:
-    lines = []
-    for g in circuit.gates:
-        if isinstance(g, SingleQubit):
-            if g.name == "U":
-                lines.append(f"U {g.target} {_complex_fields(g.u)}")
-            else:
-                tail = f" {_fmt(g.params)}" if g.params else ""
-                lines.append(f"{g.name} {g.target}{tail}")
-        elif isinstance(g, Cnot):
-            lines.append(f"CNOT {g.target} [{g.control}]")
-        elif isinstance(g, ControlledUnitary):
-            ts = " ".join(map(str, g.targets))
-            cs = " ".join(map(str, g.controls))
-            lines.append(f"CU {ts} [{cs}] {g.pattern} {_complex_fields(g.u)}")
-        elif isinstance(g, UniformlyControlledRy):
-            cs = " ".join(map(str, g.controls))
-            lines.append(f"UCRY {g.target} [{cs}] {_fmt(g.angles)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(g.dump_line() + "\n" for g in circuit.gates)

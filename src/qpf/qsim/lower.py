@@ -30,7 +30,6 @@ from qpf.qsim.circuit import (
     Gate,
     SingleQubit,
     UniformlyControlledRy,
-    invert_gate,
     phase,
     ry,
     rz,
@@ -46,7 +45,7 @@ class _Memo:
 
     ``mc_ones`` maps (bytes of the complex 2x2 u, controls, target) to the
     gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
-    caller; ``inverse`` maps a walk gate to its ``invert_gate``.
+    caller; ``inverse`` maps a walk gate to its ``inverse()``.
     """
 
     def __init__(self) -> None:
@@ -55,7 +54,7 @@ class _Memo:
 
     def invert(self, gate: Gate) -> Gate:
         if gate not in self.inverse:
-            self.inverse[gate] = invert_gate(gate)
+            self.inverse[gate] = gate.inverse()
         return self.inverse[gate]
 
 
@@ -95,11 +94,15 @@ def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
     if k == 0:
         return [ry(gate.target, float(gate.angles[0]))]
     size = 2**k
-    # Ladder angles: theta = 2^-k * H * angles with H_ij = (-1)^(gray(i).j).
+    # Ladder angles: theta = 2^-k * H * angles with H_ij = (-1)^(gray(i).j),
+    # the sign read from one parity table over all j.
+    j = np.arange(size)
+    parity = np.zeros(size, dtype=j.dtype)
+    for b in range(k):
+        parity ^= (j >> b) & 1
     theta = np.empty(size)
     for i in range(size):
-        signs = [(-1) ** bin(_gray(i) & j).count("1") for j in range(size)]
-        theta[i] = np.dot(signs, gate.angles) / size
+        theta[i] = np.dot(1 - 2 * parity[_gray(i) & j], gate.angles) / size
     gates: list[Gate] = []
     for i in range(size):
         gates.append(ry(gate.target, float(theta[i])))

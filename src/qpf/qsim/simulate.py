@@ -13,16 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qpf.errors import InputError, PostSelectionError
-from qpf.qsim.circuit import (
-    _X,
-    Circuit,
-    Cnot,
-    ControlledUnitary,
-    Gate,
-    SingleQubit,
-    UniformlyControlledRy,
-    _ry_matrix,
-)
+from qpf.qsim.circuit import Circuit, Gate
 
 MIN_POST_SELECT_PROB = 1e-12
 
@@ -35,22 +26,6 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 def _axis(num_qubits: int, qubit: int) -> int:
     return num_qubits - 1 - qubit
-
-
-def _controlled_form(gate: Gate):
-    """``(controls, pattern, targets, u)``: ``u`` acts on ``targets`` where
-    control i reads bit i of ``pattern``; ``targets[j]`` is matrix bit j.
-    A stack ``u[m]`` acts on the low target bits where the high ones read m."""
-    if isinstance(gate, SingleQubit):
-        return (), 0, (gate.target,), gate.u
-    if isinstance(gate, Cnot):
-        return (gate.control,), 1, (gate.target,), _X
-    if isinstance(gate, ControlledUnitary):
-        return gate.controls, gate.pattern, gate.targets, gate.u
-    if isinstance(gate, UniformlyControlledRy):
-        u = np.array([_ry_matrix(float(a)) for a in gate.angles])
-        return (), 0, (gate.target, *gate.controls), u
-    raise InputError(f"unknown gate type {type(gate).__name__}")
 
 
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
@@ -70,7 +45,7 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     psi = out.reshape([2] * n)
     gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:
-        controls, pattern, targets, u = _controlled_form(gate)
+        controls, pattern, targets, u = gate.controlled_form()
         sel = [slice(None)] * n
         for i, c in enumerate(controls):
             sel[_axis(n, c)] = (pattern >> i) & 1

@@ -73,17 +73,21 @@ def dense_circuit(circuit: Circuit) -> np.ndarray:
     return mat
 
 
+def gate_qubit_set(gate) -> set[int]:
+    """Every qubit a gate touches, read off its own fields, not through the package."""
+    qubits = {getattr(gate, name) for name in ("control", "target") if hasattr(gate, name)}
+    for name in ("controls", "targets"):
+        qubits.update(getattr(gate, name, ()))
+    return qubits
+
+
 def asap_depth(circuit: Circuit) -> int:
     """Depth by ASAP layering: each gate joins the first layer after the last
     layer that holds any of its qubits, and the depth is the layer count.
-
-    Qubits are read off the gate's own fields, not through the package.
     """
     layers: list[set[int]] = []
     for gate in circuit.gates:
-        qubits = {getattr(gate, name) for name in ("control", "target") if hasattr(gate, name)}
-        for name in ("controls", "targets"):
-            qubits.update(getattr(gate, name, ()))
+        qubits = gate_qubit_set(gate)
         slot = len(layers)
         while slot and not layers[slot - 1] & qubits:
             slot -= 1

@@ -309,6 +309,18 @@ class TestErrorPaths:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
+    @pytest.mark.parametrize("steps", ["1000001", "1000000000000"])
+    def test_oversized_sweep_fails_before_sampling(self, capsys, monkeypatch, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.geomspace called for an oversized sweep")
+
+        monkeypatch.setattr(np, "geomspace", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--steps", steps)
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
     @pytest.mark.parametrize("command", [["metrics"], ["solve", "--method", "hhl"]])
     def test_oversized_clock_fails_before_building(self, capsys, command):
         code, out, err = run_cli(capsys, *command, "--fixture", "wscc9", "--alpha", "64")

@@ -119,8 +119,9 @@ class TestChooseScaling:
 
     def test_nonpositive_t_rejected(self):
         eig = eigendecompose(np.diag([0.5, 1.0]))
-        with pytest.raises(InputError):
-            choose_scaling(eig, alpha=3, t_override=-1.0)
+        for t in (-1.0, float("nan")):
+            with pytest.raises(InputError, match="t must be positive"):
+                choose_scaling(eig, alpha=3, t_override=t)
 
     def test_c_override_bounds(self):
         eig = eigendecompose(np.diag([0.5, 1.0]))

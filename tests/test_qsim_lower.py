@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import dense_circuit, random_circuit, random_unitary
+import qpf.qsim.lower as lower_module
+from helpers import dense_circuit, gate_qubit_set, random_circuit, random_unitary
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
@@ -12,7 +13,6 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     dump,
-    gate_qubits,
     h,
     is_lowered,
     lower_to_basis,
@@ -67,6 +67,38 @@ def test_ucry_ladder_counts(rng, k):
     assert n_cnot == (2**k if k else 0)
     assert n_ry == 2**k
     assert_equivalent(circuit, lowered, atol=1e-12)
+
+
+def _ladder_angles_by_double_loop(angles: np.ndarray) -> np.ndarray:
+    """The ladder angles as one sign list per row, each sign a popcount."""
+    size = len(angles)
+    theta = np.empty(size)
+    for i in range(size):
+        gray = i ^ (i >> 1)
+        signs = [(-1) ** bin(gray & j).count("1") for j in range(size)]
+        theta[i] = np.dot(signs, angles) / size
+    return theta
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ucry_ladder_angles_match_the_double_loop_bit_for_bit(rng, k):
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=2**k)
+    gate = UniformlyControlledRy(tuple(range(1, k + 1)), 0, angles)
+    lowered = lower_to_basis(Circuit(k + 1, [gate]))
+    theta = np.array([g.params[0] for g in lowered.gates if isinstance(g, SingleQubit)])
+    assert theta.tobytes() == _ladder_angles_by_double_loop(angles).tobytes()
+
+
+def test_ucry_ladder_reads_each_gray_code_once(rng, monkeypatch):
+    # One parity table per gate, not a sign list per ladder angle: 2^k Gray
+    # codes at k = 9, where a popcount per (row, column) pair makes 4^k.
+    k = 9
+    calls = []
+    gray = lower_module._gray
+    monkeypatch.setattr(lower_module, "_gray", lambda i: calls.append(i) or gray(i))
+    gate = UniformlyControlledRy(tuple(range(1, k + 1)), 0, rng.uniform(-1, 1, 2**k))
+    lower_to_basis(Circuit(k + 1, [gate]))
+    assert len(calls) <= 2 * 2**k
 
 
 def test_zero_pattern_controls(rng):
@@ -144,7 +176,7 @@ def test_lowered_controlled_unitary_stays_on_its_qubits(rng, n_targets, patterne
         )
         lowered = lower_to_basis(Circuit(7, [gate]))
         assert lowered.gates
-        assert {q for g in lowered.gates for q in gate_qubits(g)} <= set(gate_qubits(gate))
+        assert set().union(*map(gate_qubit_set, lowered.gates)) <= gate_qubit_set(gate)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -152,7 +184,7 @@ def test_lowered_ucry_stays_on_its_qubits(rng, k):
     qs = [int(q) for q in rng.permutation(7)]
     gate = UniformlyControlledRy(tuple(qs[1 : k + 1]), qs[0], rng.uniform(-np.pi, np.pi, 2**k))
     lowered = lower_to_basis(Circuit(7, [gate]))
-    assert {q for g in lowered.gates for q in gate_qubits(g)} <= set(gate_qubits(gate))
+    assert set().union(*map(gate_qubit_set, lowered.gates)) <= gate_qubit_set(gate)
 
 
 def test_wscc9_gate_sequence_is_pinned(wscc9_system):
