@@ -6,9 +6,10 @@
 Run from the root of a source checkout; qpf is imported from its ``src``
 directory and the rings come from ``perfbench/netgen.py`` with the seed of the
 benchmark's 17-bus ring (``perfbench/oracles.py``).  BLAS runs on one
-thread.  Each case plans its circuit once, then times ``metrics`` on it
-``--repeats`` times and prints width/depth/CNOTs with the median and the
-minimum in seconds.
+thread.  Each case plans its circuit once, then times ``lower_to_basis``
+alone and ``metrics`` (lowering plus the depth walk) on it ``--repeats``
+times each, and prints width/depth/CNOTs with the median and the minimum of
+each in seconds, so the lowering and the walk read apart.
 """
 
 import os
@@ -29,7 +30,7 @@ import netgen  # noqa: E402
 import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
 from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
-from qpf.qsim import metrics  # noqa: E402
+from qpf.qsim import lower_to_basis, metrics  # noqa: E402
 
 
 def ring(buses: int):
@@ -45,19 +46,29 @@ CASES = {
 }
 
 
+def timed(call, circuit):
+    """(seconds, result) of one ``call(circuit)``."""
+    start = time.perf_counter()
+    result = call(circuit)
+    return time.perf_counter() - start, result
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     for name, (make_network, alpha) in CASES.items():
         circuit, *_ = plan_hhl(build_reduced_system(make_network()), HHLConfig(alpha=alpha))
-        times = []
+        lower_times = [timed(lower_to_basis, circuit)[0] for _ in range(args.repeats)]
+        metrics_times = []
         for _ in range(args.repeats):
-            start = time.perf_counter()
-            result = metrics(circuit)
-            times.append(time.perf_counter() - start)
+            seconds, result = timed(metrics, circuit)
+            metrics_times.append(seconds)
         print(f"{name:10s} {result.width}/{result.depth}/{result.cnot_count}  "
-              f"median {statistics.median(times):.3f} s  min {min(times):.3f} s")
+              f"lower_to_basis median {statistics.median(lower_times):.3f} s "
+              f"min {min(lower_times):.3f} s  "
+              f"metrics median {statistics.median(metrics_times):.3f} s "
+              f"min {min(metrics_times):.3f} s")
 
 
 if __name__ == "__main__":

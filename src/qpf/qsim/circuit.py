@@ -51,9 +51,30 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
     if u.shape != (dim, dim):
         raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
-    dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    if dim == 2:
+        dev = _deviation_2x2(u)
+    else:
+        dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
+
+
+def _deviation_2x2(u: np.ndarray) -> float:
+    """max |entry| of u^H u - I for a 2x2 ``u``, in closed form on Python scalars.
+
+    A numpy product costs more than the arithmetic at this size, and lowering
+    makes thousands of 2x2 gates.  With u = [[a, b], [c, d]] the entries are
+    |a|^2 + |c|^2 - 1, |b|^2 + |d|^2 - 1 and conj(a) b + conj(c) d (twice, up
+    to conjugation).  NaN if any of them is NaN, as ``np.max`` would give.
+    """
+    (a, b), (c, d) = u.tolist()
+    ca, cc = a.conjugate(), c.conjugate()
+    e0 = abs(ca * a + cc * c - 1)
+    e1 = abs(b.conjugate() * b + d.conjugate() * d - 1)
+    e2 = abs(ca * b + cc * d)
+    if math.isnan(e0 + e1 + e2):  # max() keeps a NaN only in first place
+        return math.nan
+    return max(e0, e1, e2)
 
 
 class Gate:
@@ -67,9 +88,16 @@ class Gate:
     """
 
 
+# Params each SingleQubit name takes; no other name can be dumped or inverted.
+_PARAM_COUNT = {"U": 0, "H": 0, "X": 0, "RY": 1, "RZ": 1, "P": 1}
+
+
 @dataclass(frozen=True, eq=False)
 class SingleQubit(Gate):
-    """Any one-qubit unitary.  ``name``/``params`` drive ``dump_line`` and ``inverse``."""
+    """Any one-qubit unitary.  ``name``/``params`` drive ``dump_line`` and ``inverse``:
+    "U" (no params) is read off ``u``; H and X take no params, RY, RZ and P
+    one finite angle.
+    """
 
     target: int
     u: np.ndarray
@@ -77,6 +105,13 @@ class SingleQubit(Gate):
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        n_params = _PARAM_COUNT.get(self.name)
+        if n_params is None:
+            raise InputError(f"unknown one-qubit gate name {self.name!r}")
+        if len(self.params) != n_params:
+            raise InputError(f"{self.name} takes {n_params} params, got {len(self.params)}")
+        if n_params and not math.isfinite(self.params[0]):
+            raise InputError(f"non-finite {self.name} angle")
         _check_unitary(self.u, 2)
 
     @property

@@ -45,17 +45,33 @@ class _Memo:
 
     ``mc_ones`` maps (bytes of the complex 2x2 u, controls, target) to the
     gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
-    caller; ``inverse`` maps a walk gate to its ``inverse()``.
+    caller; ``adjoints`` maps the id of such a tuple (kept alive by
+    ``mc_ones``) to its adjoint block; ``inverse`` maps a gate to its
+    ``inverse()``; ``xs`` maps a qubit to its X gate.
     """
 
     def __init__(self) -> None:
         self.mc_ones: dict[tuple, tuple[Gate, ...]] = {}
+        self.adjoints: dict[int, tuple[Gate, ...]] = {}
         self.inverse: dict[Gate, Gate] = {}
+        self.xs: dict[int, Gate] = {}
 
     def invert(self, gate: Gate) -> Gate:
         if gate not in self.inverse:
             self.inverse[gate] = gate.inverse()
         return self.inverse[gate]
+
+    def adjoint(self, block: tuple[Gate, ...]) -> tuple[Gate, ...]:
+        """The inverse of a block from ``mc_ones``: its gates reversed and inverted."""
+        key = id(block)
+        if key not in self.adjoints:
+            self.adjoints[key] = tuple(self.invert(g) for g in reversed(block))
+        return self.adjoints[key]
+
+    def x(self, qubit: int) -> Gate:
+        if qubit not in self.xs:
+            self.xs[qubit] = x(qubit)
+        return self.xs[qubit]
 
 
 def lower_to_basis(circuit: Circuit) -> Circuit:
@@ -171,18 +187,25 @@ def _two_level_gates(
     """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>} of the local bits."""
     diff_bits = [b for b in range(len(local)) if (i1 ^ i2) >> b & 1]
     last = diff_bits[-1]
-    # Walk |i1> to the neighbour of |i2> across the other differing bits.
-    walk: list[Gate] = []
+    # Walk |i1> to the neighbour of |i2> across the other differing bits: one
+    # X-wrapped multi-controlled X per bit.
+    steps = []
     state = i1
     for b in diff_bits[:-1]:
-        walk.extend(_on_bit(_X, b, state, local, memo))
+        steps.append(_on_bit(_X, b, state, local, memo))
         state ^= 1 << b
     # Now state == i2 ^ (1 << last).  The 2x2 acts on local bit ``last`` with
     # all other bits pinned to i2's values; if i2 has bit ``last`` = 0 the
     # (i1, i2) ordering is the reversed qubit basis, so conjugate by X.
     u = v if (i2 >> last) & 1 else _X @ v @ _X
-    core = _on_bit(u, last, i2, local, memo)
-    return walk + core + [memo.invert(g) for g in reversed(walk)]
+    gates: list[Gate] = []
+    for wraps, core in [*steps, _on_bit(u, last, i2, local, memo)]:
+        gates += [*wraps, *core, *wraps]
+    # Undo the walk: steps in reverse, each its own inverse read backwards.
+    # An X is self-inverse, so a step's wraps reversed undo themselves.
+    for wraps, core in reversed(steps):
+        gates += [*wraps[::-1], *memo.adjoint(core), *wraps[::-1]]
+    return gates
 
 
 def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> list[Gate]:
@@ -191,7 +214,8 @@ def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> lis
         u = np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
     else:
         u = np.diag([cmath.exp(1j * phi), 1.0]).astype(complex)
-    return _on_bit(u, 0, idx, local, memo)
+    wraps, core = _on_bit(u, 0, idx, local, memo)
+    return [*wraps, *core, *wraps]
 
 
 # -- multi-controlled single-qubit gates ------------------------------------
@@ -199,15 +223,16 @@ def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> lis
 
 def _on_bit(
     u: np.ndarray, bit: int, state: int, local: list[int], memo: _Memo
-) -> list[Gate]:
+) -> tuple[list[Gate], tuple[Gate, ...]]:
     """2x2 ``u`` on local bit ``bit`` where every other local bit reads ``state``.
 
-    The 0-bits of ``state`` are X-wrapped, so the core is all-ones controlled.
+    Returns ``(wraps, core)``, applied as wraps, core, wraps: the 0-bits of
+    ``state`` are X-wrapped, so the core is all-ones controlled.
     """
     controls = [b for b in range(len(local)) if b != bit]
-    wraps = [x(local[b]) for b in controls if not (state >> b) & 1]
+    wraps = [memo.x(local[b]) for b in controls if not (state >> b) & 1]
     core = _mc_ones(u, [local[b] for b in controls], local[bit], memo)
-    return [*wraps, *core, *wraps]
+    return wraps, core
 
 
 def _mc_ones(

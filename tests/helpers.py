@@ -97,6 +97,13 @@ def asap_depth(circuit: Circuit) -> int:
     return len(layers)
 
 
+def dense_unitary_deviation(u: np.ndarray) -> float:
+    """max |entry| of u^H u - I by a dense numpy product; NaN propagates."""
+    u = np.asarray(u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.max(np.abs(np.conj(u).T @ u - np.identity(u.shape[0]))))
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)

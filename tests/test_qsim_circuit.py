@@ -1,0 +1,81 @@
+"""Gate checks made when a gate is made: the closed-form 2x2 unitarity check
+against a dense oracle, and the names and params a SingleQubit can honour."""
+
+import math
+
+import numpy as np
+import pytest
+
+from helpers import dense_unitary_deviation, random_unitary
+from qpf.errors import InputError
+from qpf.qsim import SingleQubit
+from qpf.qsim.circuit import UNITARY_TOL, _check_unitary, _deviation_2x2, _ry_matrix, _rz_matrix
+
+
+def _two_by_twos(rng):
+    """2x2 arrays on both sides of the tolerance, non-finite ones and int/float dtypes."""
+    cases = [random_unitary(rng, 2) for _ in range(20)]
+    for scale in (1e-11, 1e-9):
+        for _ in range(20):
+            noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            cases.append(random_unitary(rng, 2) + scale * noise)
+    for bad in (math.nan, math.inf, -math.inf):
+        for row, col in np.ndindex(2, 2):
+            for u in (random_unitary(rng, 2), _ry_matrix(0.7).real.copy(), np.eye(2)):
+                u[row, col] = bad
+                cases.append(u)
+    cases += [_ry_matrix(a).real.copy() for a in rng.uniform(-7, 7, size=5)]
+    cases += [np.array(m, dtype=np.int64) for m in (
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[1, 1], [0, 1]],
+        [[2, 0], [0, 1]], [[1, 0], [0, 0]], [[-1, 0], [0, -1]],
+    )]
+    cases += [np.array([[1.0, 0.0], [0.0, 1.0 + d]]) for d in (1e-11, -1e-11, 1e-9)]
+    return cases
+
+
+def _rejected(u) -> bool:
+    try:
+        _check_unitary(u, 2)
+    except InputError:
+        return True
+    return False
+
+
+def test_closed_form_2x2_check_matches_the_dense_oracle(rng):
+    outcomes = set()
+    for u in _two_by_twos(rng):
+        want = dense_unitary_deviation(u)
+        got = _deviation_2x2(u)
+        if math.isfinite(want):
+            assert abs(got - want) <= 1e-15, u
+        else:
+            assert not math.isfinite(got), u
+        assert _rejected(u) == (not want <= UNITARY_TOL), u
+        outcomes.add(_rejected(u))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("u, message", [
+    ([[1, 0], [0, 1]], "numpy array, got list"),
+    (np.eye(3), r"matrix shape \(3, 3\), expected \(2, 2\)"),
+    (np.eye(2)[:1], r"matrix shape \(1, 2\), expected \(2, 2\)"),
+])
+def test_non_arrays_and_wrong_shapes_keep_their_messages(u, message):
+    with pytest.raises(InputError, match=message):
+        SingleQubit(0, u)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("RZ", ()),
+    ("RY", (0.3, 0.3)),
+    ("P", (math.nan,)),
+    ("RZ", (math.inf,)),
+    ("FOO", (1.0,)),
+    ("rz", (0.3,)),
+    ("U", (0.3,)),
+    ("H", (0.3,)),
+])
+def test_single_qubit_rejects_a_name_or_params_it_cannot_honour(name, params):
+    with pytest.raises(InputError):
+        SingleQubit(0, _rz_matrix(0.3), name, params)
+

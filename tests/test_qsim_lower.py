@@ -220,6 +220,17 @@ def test_patterned_six_control_gate_sequence_is_pinned():
     )
 
 
+def test_four_target_controlled_unitary_gate_sequence_is_pinned():
+    # A seeded 16x16 block under one control reading 0: its Givens pairs
+    # differ in up to four local bits, so each is reached by a walk over up
+    # to three bits, and that walk is undone after the rotation.
+    u = random_unitary(np.random.default_rng(16), 16)
+    gate = ControlledUnitary((4,), (0, 1, 2, 3), u, 0)
+    assert _dump_digest(Circuit(5, [gate])) == (
+        154369, "067f3562d38a4bd854cec813fea1f80602ce1325d811a899ffa69c84eb13b876"
+    )
+
+
 def test_shared_sub_blocks_stay_inside_one_call(rng):
     # Three-control gates make the square-root recursion repeat sub-blocks.
     first = Circuit(4, [ControlledUnitary((1, 2, 3), (0,), random_unitary(rng, 2), 5)])

@@ -228,6 +228,18 @@ class TestValidation:
         assert metrics(circuit).cnot_count == 23550
         assert len(calls) <= 10_000
 
+    def test_wscc9_metrics_make_each_wrap_and_undo_once(self, wscc9_system, monkeypatch):
+        # One X per qubit and one adjoint per shared sub-block in each
+        # lowering call, so X wraps and undo walks add no checked gates.
+        circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+        calls = []
+        check = circuit_module._check_unitary
+        monkeypatch.setattr(
+            circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
+        )
+        assert metrics(circuit).cnot_count == 23550
+        assert len(calls) <= 6_912
+
     def test_wscc9_metrics_append_only_input_gates(self, wscc9_system, monkeypatch):
         # Lowered blocks are spliced in unchecked: no Circuit.append runs
         # per lowered gate (87,139 of them at alpha = 5).
