@@ -20,6 +20,7 @@ eigendecomposition of B, and probabilities come from amplitudes, not shots.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -120,8 +121,9 @@ def choose_scaling(
     Overrides are validated against the no-wraparound invariant
     lambda_max * t / (2 pi) <= (M-1)/M and against c <= lambda(1).
     """
-    if alpha < 1:
-        raise InputError("alpha must be >= 1")
+    _check_alpha(alpha)
+    if alpha >= 1024:
+        raise InputError(f"alpha = {alpha} overflows a float: 2^alpha must stay below 2^1024")
     m = 2**alpha
     lam_max = float(eig.lambdas[-1])
     if eig.lambdas[0] <= 0:
@@ -139,6 +141,11 @@ def choose_scaling(
     if not 0 < c <= grid1 * (1 + 1e-12):
         raise InputError(f"c must lie in (0, {grid1!r}]")
     return SpectralScaling(t=t, alpha=alpha, c=c)
+
+
+def _check_alpha(alpha) -> None:
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Integral) or alpha < 1:
+        raise InputError(f"alpha must be an int >= 1, got {alpha!r}")
 
 
 def lambda_of_clock(m_value: int, scaling: SpectralScaling) -> float:
@@ -253,8 +260,9 @@ def plan_hhl(
 ) -> tuple[Circuit, SpectralScaling, int, float]:
     """Pad the system and build its pipeline circuit.
 
-    Raises InputError before any eigendecomposition or circuit build when the
-    circuit's statevector would exceed ``MAX_STATEVECTOR_BYTES``.
+    Raises InputError before any eigendecomposition or circuit build when
+    alpha is not an int >= 1 or the statevector would exceed
+    ``MAX_STATEVECTOR_BYTES``, which a huge alpha reaches without forming 2^alpha.
 
     Returns (circuit, scaling, beta, p_norm): beta is the solution-register
     width after padding and p_norm the norm of the unpadded injections.
@@ -267,10 +275,11 @@ def plan_hhl(
     if p_norm == 0.0:
         raise InputError("injection vector is zero; nothing to prepare")
 
+    _check_alpha(config.alpha)
     b_pad, p_pad, beta = _pad_system(b, p)
     width = beta + config.alpha + 1
-    state_bytes = 16 * 2**width
-    if state_bytes > MAX_STATEVECTOR_BYTES:
+    if width > (MAX_STATEVECTOR_BYTES // 16).bit_length() - 1:
+        state_bytes = 16 * 2**width if width <= 64 else f"2^{width + 4}"
         raise InputError(
             f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
             f"over the {MAX_STATEVECTOR_BYTES}-byte limit"

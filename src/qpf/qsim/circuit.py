@@ -26,7 +26,7 @@ from qpf.errors import InputError
 
 UNITARY_TOL = 1e-10
 
-# Named 2x2 constants / factories recognised by the dump format.
+# Builders of the named 2x2 matrices (see ``_NAMED``).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -42,10 +42,6 @@ def _rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-def _phase_matrix(phi: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
-
-
 def _check_unitary(u: np.ndarray, dim: int) -> None:
     if not isinstance(u, np.ndarray):
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
@@ -54,7 +50,8 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
     if dim == 2:
         dev = _deviation_2x2(u)
     else:
-        dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
+            dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
 
@@ -88,30 +85,43 @@ class Gate:
     """
 
 
-# Params each SingleQubit name takes; no other name can be dumped or inverted.
-_PARAM_COUNT = {"U": 0, "H": 0, "X": 0, "RY": 1, "RZ": 1, "P": 1}
+# Each SingleQubit name: its param count and the builder of its matrix from
+# those params ("U" has none: it is the matrix it is given).
+_NAMED = {
+    "U": (0, None),
+    "H": (0, lambda: _H),
+    "X": (0, lambda: _X),
+    "RY": (1, _ry_matrix),
+    "RZ": (1, _rz_matrix),
+    "P": (1, lambda phi: np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class SingleQubit(Gate):
-    """Any one-qubit unitary.  ``name``/``params`` drive ``dump_line`` and ``inverse``:
-    "U" (no params) is read off ``u``; H and X take no params, RY, RZ and P
-    one finite angle.
+    """Any one-qubit unitary.  "U" (no params) is the matrix ``u`` it is given;
+    any other name builds ``u`` from its params, and a matrix given with it is
+    rejected: H and X take no params, RY, RZ and P one finite angle.
     """
 
     target: int
-    u: np.ndarray
+    u: np.ndarray | None = None
     name: str = "U"
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        n_params = _PARAM_COUNT.get(self.name)
-        if n_params is None:
+        entry = _NAMED.get(self.name)
+        if entry is None:
             raise InputError(f"unknown one-qubit gate name {self.name!r}")
+        n_params, build = entry
         if len(self.params) != n_params:
             raise InputError(f"{self.name} takes {n_params} params, got {len(self.params)}")
         if n_params and not math.isfinite(self.params[0]):
             raise InputError(f"non-finite {self.name} angle")
+        if build is not None:
+            if self.u is not None:
+                raise InputError(f"{self.name} builds its own matrix; only U takes one")
+            object.__setattr__(self, "u", build(*self.params))
         _check_unitary(self.u, 2)
 
     @property
@@ -119,11 +129,11 @@ class SingleQubit(Gate):
         return (self.target,)
 
     def inverse(self) -> SingleQubit:
-        if self.name in ("RY", "RZ", "P"):
-            return {"RY": ry, "RZ": rz, "P": phase}[self.name](self.target, -self.params[0])
-        if self.name in ("H", "X"):
-            return self  # self-inverse
-        return SingleQubit(self.target, self.u.conj().T)
+        if self.name == "U":
+            return SingleQubit(self.target, self.u.conj().T)
+        if not self.params:
+            return self  # H and X are self-inverse
+        return SingleQubit(self.target, None, self.name, (-self.params[0],))
 
     def dump_line(self) -> str:
         if self.name == "U":
@@ -237,23 +247,23 @@ class UniformlyControlledRy(Gate):
 
 
 def h(target: int) -> SingleQubit:
-    return SingleQubit(target, _H, "H")
+    return SingleQubit(target, None, "H")
 
 
 def x(target: int) -> SingleQubit:
-    return SingleQubit(target, _X, "X")
+    return SingleQubit(target, None, "X")
 
 
 def ry(target: int, theta: float) -> SingleQubit:
-    return SingleQubit(target, _ry_matrix(theta), "RY", (theta,))
+    return SingleQubit(target, None, "RY", (theta,))
 
 
 def rz(target: int, theta: float) -> SingleQubit:
-    return SingleQubit(target, _rz_matrix(theta), "RZ", (theta,))
+    return SingleQubit(target, None, "RZ", (theta,))
 
 
 def phase(target: int, phi: float) -> SingleQubit:
-    return SingleQubit(target, _phase_matrix(phi), "P", (phi,))
+    return SingleQubit(target, None, "P", (phi,))
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Lowering of arbitrary gates to the {CNOT, single-qubit} basis.
 
-Chain: ControlledUnitary -> two-level (Givens) decomposition of its 2^m
-block, offset to the block's basis states over the gate's local qubits ->
-Gray-code multi-controlled single-qubit rotations -> standard CNOT ladder
-identities (ZYZ for one control, square-root recursion for more).
+Chain: ControlledUnitary -> two-level factors of its 2^m block (Givens
+rotations, and each leftover phase as a diagonal on a pair of states that
+differ in bit 0), offset to the block's basis states over the gate's local
+qubits -> each factor a multi-controlled 2x2 reached by a Gray-code walk ->
+ZYZ for one control, square-root recursion (Barenco et al. 1995) for more.
 UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.  A one-qubit
 ControlledUnitary with no controls is already a basis gate: a SingleQubit.
 
@@ -17,7 +18,9 @@ multi-controlled sub-block is lowered once and its gate objects are shared.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -46,32 +49,22 @@ class _Memo:
     ``mc_ones`` maps (bytes of the complex 2x2 u, controls, target) to the
     gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
     caller; ``adjoints`` maps the id of such a tuple (kept alive by
-    ``mc_ones``) to its adjoint block; ``inverse`` maps a gate to its
-    ``inverse()``; ``xs`` maps a qubit to its X gate.
+    ``mc_ones``) to its adjoint block, since hashing the tuple would cost its
+    length; ``invert`` is a cached ``Gate.inverse`` and ``x`` a cached ``x``.
     """
 
     def __init__(self) -> None:
         self.mc_ones: dict[tuple, tuple[Gate, ...]] = {}
         self.adjoints: dict[int, tuple[Gate, ...]] = {}
-        self.inverse: dict[Gate, Gate] = {}
-        self.xs: dict[int, Gate] = {}
-
-    def invert(self, gate: Gate) -> Gate:
-        if gate not in self.inverse:
-            self.inverse[gate] = gate.inverse()
-        return self.inverse[gate]
+        self.invert = functools.cache(operator.methodcaller("inverse"))
+        self.x = functools.cache(x)
 
     def adjoint(self, block: tuple[Gate, ...]) -> tuple[Gate, ...]:
         """The inverse of a block from ``mc_ones``: its gates reversed and inverted."""
         key = id(block)
         if key not in self.adjoints:
-            self.adjoints[key] = tuple(self.invert(g) for g in reversed(block))
+            self.adjoints[key] = tuple(map(self.invert, reversed(block)))
         return self.adjoints[key]
-
-    def x(self, qubit: int) -> Gate:
-        if qubit not in self.xs:
-            self.xs[qubit] = x(qubit)
-        return self.xs[qubit]
 
 
 def lower_to_basis(circuit: Circuit) -> Circuit:
@@ -141,25 +134,24 @@ def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     # it acts as u: decomposing u alone and offsetting its indices suffices.
     local = list(gate.targets) + list(gate.controls)
     base = gate.pattern << len(gate.targets)
-    rotations, phases = _two_level_decompose(gate.u)
     gates: list[Gate] = []
-    for idx, phi in phases:
-        gates.extend(_one_level_phase(base + idx, phi, local, memo))
-    for i1, i2, v in reversed(rotations):
-        gates.extend(_two_level_gates(base + i1, base + i2, v.conj().T, local, memo))
+    for i1, i2, v in _two_level_decompose(gate.u):
+        gates.extend(_two_level_gates(base + i1, base + i2, v, local, memo))
     return gates
 
 
-def _two_level_decompose(w: np.ndarray):
-    """Reduce w to diagonal by Givens rotations acting on index pairs.
+def _two_level_decompose(w: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Two-level factors of w, in the order they apply.
 
-    Returns (rotations, phases) with w == T1+ T2+ ... TL+ D: each rotation
-    (i1, i2, g) is the 2x2 block g that was applied from the left on rows
-    (i1, i2), and D holds the leftover unit-modulus diagonal phases.
+    Givens rotations T1 ... TL, each a 2x2 block applied from the left on a
+    row pair, reduce w to a diagonal D of unit-modulus phases, so
+    w == T1+ T2+ ... TL+ D.  Each factor (i1, i2, v) is the 2x2 ``v`` on the
+    span {|i1>, |i2>}: first each phase of D kept at index i, as a diagonal
+    on the pair (i & ~1, i | 1), then the rotation adjoints, TL+ first.
     """
     a = np.array(w, dtype=complex)
     dim = len(a)
-    rotations = []
+    adjoints = []
     for col in range(dim - 1):
         for row in range(dim - 1, col, -1):
             if abs(a[row, col]) <= _ELIM_TOL:
@@ -172,19 +164,21 @@ def _two_level_decompose(w: np.ndarray):
                 dtype=complex,
             )
             a[[col, row], :] = g @ a[[col, row], :]
-            rotations.append((col, row, g))
-    phases = []
+            adjoints.append((col, row, g.conj().T))
+    factors = []
     for i in range(dim):
         phi = cmath.phase(a[i, i])
         if abs(phi) > _ANGLE_TOL:
-            phases.append((i, phi))
-    return rotations, phases
+            pair = [1.0, 1.0]
+            pair[i & 1] = cmath.exp(1j * phi)
+            factors.append((i & ~1, i | 1, np.diag(pair).astype(complex)))
+    return factors + adjoints[::-1]
 
 
 def _two_level_gates(
     i1: int, i2: int, v: np.ndarray, local: list[int], memo: _Memo
 ) -> list[Gate]:
-    """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>} of the local bits."""
+    """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>}, i1 < i2, of the local bits."""
     diff_bits = [b for b in range(len(local)) if (i1 ^ i2) >> b & 1]
     last = diff_bits[-1]
     # Walk |i1> to the neighbour of |i2> across the other differing bits: one
@@ -194,28 +188,16 @@ def _two_level_gates(
     for b in diff_bits[:-1]:
         steps.append(_on_bit(_X, b, state, local, memo))
         state ^= 1 << b
-    # Now state == i2 ^ (1 << last).  The 2x2 acts on local bit ``last`` with
-    # all other bits pinned to i2's values; if i2 has bit ``last`` = 0 the
-    # (i1, i2) ordering is the reversed qubit basis, so conjugate by X.
-    u = v if (i2 >> last) & 1 else _X @ v @ _X
+    # Now state == i2 ^ (1 << last), and i1 < i2 sets bit ``last`` of i2, so v
+    # acts on local bit ``last`` as is, with the other bits pinned to i2's.
     gates: list[Gate] = []
-    for wraps, core in [*steps, _on_bit(u, last, i2, local, memo)]:
+    for wraps, core in [*steps, _on_bit(v, last, i2, local, memo)]:
         gates += [*wraps, *core, *wraps]
     # Undo the walk: steps in reverse, each its own inverse read backwards.
     # An X is self-inverse, so a step's wraps reversed undo themselves.
     for wraps, core in reversed(steps):
         gates += [*wraps[::-1], *memo.adjoint(core), *wraps[::-1]]
     return gates
-
-
-def _one_level_phase(idx: int, phi: float, local: list[int], memo: _Memo) -> list[Gate]:
-    """diag phase e^{i phi} on basis state |idx> of the local bits."""
-    if idx & 1:
-        u = np.diag([1.0, cmath.exp(1j * phi)]).astype(complex)
-    else:
-        u = np.diag([cmath.exp(1j * phi), 1.0]).astype(complex)
-    wraps, core = _on_bit(u, 0, idx, local, memo)
-    return [*wraps, *core, *wraps]
 
 
 # -- multi-controlled single-qubit gates ------------------------------------
@@ -238,27 +220,24 @@ def _on_bit(
 def _mc_ones(
     u: np.ndarray, controls: list[int], target: int, memo: _Memo
 ) -> tuple[Gate, ...]:
+    """2x2 ``u`` on ``target`` where every control reads 1, lowered once per memo."""
     key = (u.tobytes(), tuple(controls), target)
-    if key not in memo.mc_ones:
-        memo.mc_ones[key] = tuple(_mc_ones_uncached(u, controls, target, memo))
-    return memo.mc_ones[key]
-
-
-def _mc_ones_uncached(
-    u: np.ndarray, controls: list[int], target: int, memo: _Memo
-) -> list[Gate]:
+    if key in memo.mc_ones:
+        return memo.mc_ones[key]
     if np.abs(u - np.eye(2)).max() < _ANGLE_TOL:
-        return []
-    if len(controls) == 1:
-        return _controlled_single(u, controls[0], target)
-    v = _sqrt_2x2(u)
-    c_last, rest = controls[-1], list(controls[:-1])
-    gates = _controlled_single(v, c_last, target)
-    gates += _mc_ones(_X, rest, c_last, memo)
-    gates += _controlled_single(v.conj().T, c_last, target)
-    gates += _mc_ones(_X, rest, c_last, memo)
-    gates += _mc_ones(v, rest, target, memo)
-    return gates
+        gates = []
+    elif len(controls) == 1:
+        gates = _controlled_single(u, controls[0], target)
+    else:
+        v = _sqrt_2x2(u)
+        c_last, rest = controls[-1], list(controls[:-1])
+        gates = _controlled_single(v, c_last, target)
+        gates += _mc_ones(_X, rest, c_last, memo)
+        gates += _controlled_single(v.conj().T, c_last, target)
+        gates += _mc_ones(_X, rest, c_last, memo)
+        gates += _mc_ones(v, rest, target, memo)
+    memo.mc_ones[key] = tuple(gates)
+    return memo.mc_ones[key]
 
 
 def _controlled_single(u: np.ndarray, control: int, target: int) -> list[Gate]:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qpf.hhl as hhl_module
 from qpf.cli import main
 from qpf.grid import build_reduced_system, load_network
 from qpf.hhl import HHLConfig, run_hhl
@@ -327,6 +328,20 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
         assert "68 qubits" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("alpha", ["20000", "1000000000"])
+    @pytest.mark.parametrize("command", [["metrics"], ["solve", "--method", "hhl"]])
+    def test_huge_clock_fails_on_one_line(self, capsys, monkeypatch, command, alpha):
+        def never(*args):
+            raise AssertionError("built past the size budget")
+
+        monkeypatch.setattr(hhl_module, "eigendecompose", never)
+        code, out, err = run_cli(capsys, *command, "--fixture", "wscc9", "--alpha", alpha)
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert f"{int(alpha) + 4} qubits" in err
         assert out == ""
 
     def test_invalid_network_schema(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,12 @@ class TestChooseScaling:
         eig = eigendecompose(np.diag([0.5, 1.0]))
         with pytest.raises(InputError):
             choose_scaling(eig, alpha=0)
+
+    @pytest.mark.parametrize("alpha", [2.5, "3", None, 1024, 10**6])
+    def test_alpha_must_be_an_int_whose_power_fits_a_float(self, alpha):
+        eig = eigendecompose(np.diag([0.5, 1.0]))
+        with pytest.raises(InputError, match="alpha"):
+            choose_scaling(eig, alpha=alpha)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -346,6 +353,26 @@ class TestRunHhl:
             plan_hhl(wscc9_system, HHLConfig(alpha=3))
         monkeypatch.undo()
         assert plan_hhl(wscc9_system, HHLConfig(alpha=3))[0].num_qubits == 7
+
+    @pytest.mark.parametrize("alpha", [2.5, "3", None])
+    def test_non_int_alpha_rejected(self, wscc9_system, alpha):
+        with pytest.raises(InputError, match="alpha must be an int"):
+            plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
+
+    @pytest.mark.parametrize("alpha, state_bytes", [
+        (60, str(16 * 2**64)),
+        (61, "2^69"),
+        (10**9, "2^1000000008"),
+    ])
+    def test_huge_alpha_is_refused_by_width(self, wscc9_system, monkeypatch, alpha, state_bytes):
+        def never(*args):
+            raise AssertionError("built past the size budget")
+
+        monkeypatch.setattr(hhl_module, "eigendecompose", never)
+        width = 3 + alpha + 1
+        message = f"{width} qubits needs a {state_bytes}-byte statevector"
+        with pytest.raises(InputError, match=re.escape(message)):
+            plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
 
     def test_tiny_c_starves_post_selection(self):
         system = diag_system([1.0, 0.5], [1.0, 0.0])

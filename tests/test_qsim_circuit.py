@@ -1,14 +1,16 @@
 """Gate checks made when a gate is made: the closed-form 2x2 unitarity check
-against a dense oracle, and the names and params a SingleQubit can honour."""
+against a dense oracle, the dense check on non-finite entries, and the names,
+params and matrices a SingleQubit can honour."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import dense_unitary_deviation, random_unitary
 from qpf.errors import InputError
-from qpf.qsim import SingleQubit
+from qpf.qsim import ControlledUnitary, SingleQubit, h, phase, ry, rz, x
 from qpf.qsim.circuit import UNITARY_TOL, _check_unitary, _deviation_2x2, _ry_matrix, _rz_matrix
 
 
@@ -79,3 +81,36 @@ def test_single_qubit_rejects_a_name_or_params_it_cannot_honour(name, params):
     with pytest.raises(InputError):
         SingleQubit(0, _rz_matrix(0.3), name, params)
 
+
+
+NAMED_GATES = [(h, ()), (x, ()), (ry, (0.3,)), (rz, (-1.7,)), (phase, (2.9,))]
+
+
+@pytest.mark.parametrize("factory, params", NAMED_GATES)
+def test_named_gate_given_a_matrix_is_rejected(factory, params):
+    gate = factory(0, *params)
+    with pytest.raises(InputError, match="builds its own matrix"):
+        SingleQubit(0, gate.u, gate.name, gate.params)
+
+
+def test_matrix_and_name_cannot_disagree():
+    with pytest.raises(InputError):
+        SingleQubit(0, h(0).u, "RZ", (0.3,))
+
+
+@pytest.mark.parametrize("factory, params", NAMED_GATES)
+def test_named_gate_inverse_undoes_it(factory, params):
+    gate = factory(0, *params)
+    inverse = gate.inverse()
+    assert (inverse.name, inverse.params) == (gate.name, tuple(-p for p in params))
+    np.testing.assert_allclose(inverse.u @ gate.u, np.eye(2), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_dense_check_rejects_non_finite_entries_without_a_warning(bad):
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^matrix not unitary"):
+            ControlledUnitary((), (0, 1), u)

@@ -231,6 +231,52 @@ def test_four_target_controlled_unitary_gate_sequence_is_pinned():
     )
 
 
+def _block_structured_gate(seed: int) -> Circuit:
+    """1-4 controls reading a random pattern over 1-3 targets, all seeded.
+
+    Its matrix is a direct sum of random unitary blocks, permuted.  A dense
+    random block is left, after its Givens rotations, with a phase on its
+    last (odd) index alone; a column with nothing to eliminate keeps a phase
+    on its own index, even or odd.
+    """
+    rng = np.random.default_rng(seed)
+    n_controls, n_targets = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    qubits = [int(q) for q in rng.permutation(n_controls + n_targets)]
+    dim = 2**n_targets
+    u = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    while start < dim:
+        size = int(rng.integers(1, dim - start + 1))
+        u[start : start + size, start : start + size] = random_unitary(rng, size)
+        start += size
+    perm = rng.permutation(dim)
+    pattern = int(rng.integers(0, 2**n_controls))
+    gate = ControlledUnitary(
+        tuple(qubits[n_targets:]), tuple(qubits[:n_targets]), u[perm][:, perm], pattern
+    )
+    return Circuit(len(qubits), [gate])
+
+
+# Together these lower phases on even and on odd indices, and Givens pairs
+# that differ in one, two and three local bits.
+@pytest.mark.parametrize("seed, lines, digest", [
+    (0, 4725, "3632de2bee5d450dc3701f128d62a6683ac08fcc85f22b7b37342cf9ec9f1c63"),
+    (1, 1369, "ce84a428fae4ad6f1be3ca0187b0a418bbccbba16c58c1b9546a8ef58b001ae2"),
+    (2, 776, "1a6cdb7cc705fdce9ae5559d072532a843ee40760ca2e14884758088c02a0cab"),
+    (6, 1000, "9b1612a1edd209754667b4b5f7ffa6b901a953f89295b8368bc72e47ca9ac7e2"),
+    (9, 14940, "966bdf3d4bef44643f55cbe48ce14b468895c3a7fd78f0ebf450cbe00bc59602"),
+    (11, 16, "a07850ecf4b03e7c46658513bdcc369d67176b53331317bd2daaee6d3c7548b4"),
+    (14, 4841, "ef0c169cbfcc0e4f5756da0a2fbd641eb8b2d881eeb3c79c478bb12ebeda13ff"),
+    (17, 22435, "58079f1f64f5f8354fa2c74d7b11a6d63da647a1f8d108ea9f8f47992aa2f5ed"),
+    (21, 9389, "6ca0850dc19e393d01c7180c8388b0ab22f4a4db1c79958482b77513dae7262a"),
+    (22, 8246, "03d0d914b5f693ba612490bf0b9826fc571e0f6da5df429ac85a9c7dda4d0d00"),
+    (24, 79, "d1ed6c127cf4e9936dc40927f73b7459fad2447055cbc0774511fde54b6ea321"),
+    (27, 2416, "e4d98333a30026a3aec71a9c34210b9f01273c322d9b2f3531e3a422cd19c102"),
+])
+def test_block_structured_gate_sequence_is_pinned(seed, lines, digest):
+    assert _dump_digest(_block_structured_gate(seed)) == (lines, digest)
+
+
 def test_shared_sub_blocks_stay_inside_one_call(rng):
     # Three-control gates make the square-root recursion repeat sub-blocks.
     first = Circuit(4, [ControlledUnitary((1, 2, 3), (0,), random_unitary(rng, 2), 5)])
