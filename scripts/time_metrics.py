@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Wall time of ``qpf.qsim.metrics`` on wscc9 and on seeded ring networks.
+"""Wall time of ``qpf.qsim.metrics`` and ``qpf.hhl.plan_hhl`` on wscc9 and on
+seeded ring networks.
 
     python3 scripts/time_metrics.py [--repeats 3]
 
 Run from the root of a source checkout; qpf is imported from its ``src``
-directory and the rings come from ``perfbench/netgen.py`` with the seed of the
-benchmark's 17-bus ring (``perfbench/oracles.py``).  BLAS runs on one
-thread.  Each case plans its circuit once, then times ``lower_to_basis``
-alone and ``metrics`` (lowering plus the depth walk) on it ``--repeats``
-times each, and prints width/depth/CNOTs with the median and the minimum of
-each in seconds, so the lowering and the walk read apart.
+directory and the rings come from ``perfbench/netgen.py``.  BLAS runs on one
+thread.  Each metrics case (rings with the seed of the benchmark's 17-bus
+ring, ``perfbench/oracles.py``) plans its circuit once, then times
+``lower_to_basis`` alone and ``metrics`` (lowering plus the depth walk) on it
+``--repeats`` times each, and prints width/depth/CNOTs with the median and
+the minimum of each in seconds, so the lowering and the walk read apart.
+Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
+``--repeats`` times and prints its median and minimum; the 257-bus ring is
+``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008).
 """
 
 import os
@@ -33,8 +37,8 @@ from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
 from qpf.qsim import lower_to_basis, metrics  # noqa: E402
 
 
-def ring(buses: int):
-    return network_from_dict(netgen.ring_chord_network(buses, oracles.RING17_SEED))
+def ring(buses: int, seed: int = oracles.RING17_SEED):
+    return network_from_dict(netgen.ring_chord_network(buses, seed))
 
 
 # name -> (network factory, alpha)
@@ -44,12 +48,16 @@ CASES = {
     "ring17-a5": (lambda: ring(17), 5),
     "ring33-a1": (lambda: ring(33), 1),
 }
+PLAN_CASES = {
+    "wscc9-a5": (lambda: load_fixture("wscc9"), 5),
+    "ring257-a7": (lambda: ring(257, 1008), 7),
+}
 
 
-def timed(call, circuit):
-    """(seconds, result) of one ``call(circuit)``."""
+def timed(call, arg):
+    """(seconds, result) of one ``call(arg)``."""
     start = time.perf_counter()
-    result = call(circuit)
+    result = call(arg)
     return time.perf_counter() - start, result
 
 
@@ -69,6 +77,12 @@ def main() -> None:
               f"min {min(lower_times):.3f} s  "
               f"metrics median {statistics.median(metrics_times):.3f} s "
               f"min {min(metrics_times):.3f} s")
+    for name, (make_network, alpha) in PLAN_CASES.items():
+        system, config = build_reduced_system(make_network()), HHLConfig(alpha=alpha)
+        plan_times = [timed(lambda s: plan_hhl(s, config), system)[0]
+                      for _ in range(args.repeats)]
+        print(f"{name:10s} plan_hhl median {statistics.median(plan_times):.4f} s "
+              f"min {min(plan_times):.4f} s")
 
 
 if __name__ == "__main__":

@@ -130,6 +130,8 @@ def choose_scaling(
         raise NumericalError("non-positive eigenvalue")
     t = 2.0 * math.pi * (m - 1) / (m * lam_max) if t_override is None else float(t_override)
     if not 0 < t < math.inf:  # also rejects NaN
+        if t_override is None:
+            raise InputError(f"alpha = {alpha} overflows t for lambda_max = {lam_max!r}")
         raise InputError(f"t must be positive and finite, got {t!r}")
     if lam_max * t / (2.0 * math.pi) > (m - 1) / m + 1e-12:
         raise InputError(
@@ -240,19 +242,18 @@ def build_hhl_circuit(
 # -- execution ---------------------------------------------------------------
 
 
-def _pad_system(b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Zero-pad p (and extend B by lambda_max blocks) up to a power of two."""
+def _pad_system(b: np.ndarray, p: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad p (and extend B by lambda_max blocks) up to dimension 2^beta."""
     n = len(p)
-    beta = max(1, (n - 1).bit_length())
     dim = 2**beta
     if dim == n:
-        return b, p, beta
+        return b, p
     lam_max = float(np.linalg.eigvalsh(b)[-1])
     b_pad = np.eye(dim) * lam_max
     b_pad[:n, :n] = b
     p_pad = np.zeros(dim)
     p_pad[:n] = p
-    return b_pad, p_pad, beta
+    return b_pad, p_pad
 
 
 def plan_hhl(
@@ -276,7 +277,7 @@ def plan_hhl(
         raise InputError("injection vector is zero; nothing to prepare")
 
     _check_alpha(config.alpha)
-    b_pad, p_pad, beta = _pad_system(b, p)
+    beta = max(1, (len(p) - 1).bit_length())
     width = beta + config.alpha + 1
     if width > (MAX_STATEVECTOR_BYTES // 16).bit_length() - 1:
         state_bytes = 16 * 2**width if width <= 64 else f"2^{width + 4}"
@@ -284,6 +285,7 @@ def plan_hhl(
             f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
             f"over the {MAX_STATEVECTOR_BYTES}-byte limit"
         )
+    b_pad, p_pad = _pad_system(b, p, beta)
     eig = eigendecompose(b_pad)
     scaling = choose_scaling(eig, config.alpha, config.t_override, config.c_override)
     return build_hhl_circuit(eig, p_pad / p_norm, scaling), scaling, beta, p_norm

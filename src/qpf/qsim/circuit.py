@@ -8,7 +8,7 @@ row/column index.
 
 Gates are frozen dataclasses, one class per kind holding all of that kind's
 behaviour (see ``Gate``), that check themselves once, when made (distinct
-qubits, unitarity to 1e-10, pattern width, angle count); a Circuit is an
+qubits, a given matrix unitary, pattern width, angle count); a Circuit is an
 ordered gate list over a fixed-width register whose ``append`` checks only the
 width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
@@ -17,6 +17,7 @@ checked them; so every stored circuit is well-formed by construction.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -47,31 +48,10 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
     if u.shape != (dim, dim):
         raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
-    if dim == 2:
-        dev = _deviation_2x2(u)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
-            dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
+        dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
-
-
-def _deviation_2x2(u: np.ndarray) -> float:
-    """max |entry| of u^H u - I for a 2x2 ``u``, in closed form on Python scalars.
-
-    A numpy product costs more than the arithmetic at this size, and lowering
-    makes thousands of 2x2 gates.  With u = [[a, b], [c, d]] the entries are
-    |a|^2 + |c|^2 - 1, |b|^2 + |d|^2 - 1 and conj(a) b + conj(c) d (twice, up
-    to conjugation).  NaN if any of them is NaN, as ``np.max`` would give.
-    """
-    (a, b), (c, d) = u.tolist()
-    ca, cc = a.conjugate(), c.conjugate()
-    e0 = abs(ca * a + cc * c - 1)
-    e1 = abs(b.conjugate() * b + d.conjugate() * d - 1)
-    e2 = abs(ca * b + cc * d)
-    if math.isnan(e0 + e1 + e2):  # max() keeps a NaN only in first place
-        return math.nan
-    return max(e0, e1, e2)
 
 
 class Gate:
@@ -82,7 +62,19 @@ class Gate:
     applies, ``u`` acting on ``targets`` (``targets[j]`` is matrix bit j) where
     control i reads bit i of ``pattern``; a stack ``u[m]`` acts on the low
     target bits where the high ones read m.
+
+    Only a matrix a caller gives is checked for unitarity, once, when its gate
+    is made: a named gate is unitary by construction from its checked params,
+    and an inverse is the conjugate transpose of a checked matrix.
     """
+
+
+def _adjoint(gate: Gate) -> Gate:
+    """A copy of a checked ``gate`` with ``u.conj().T`` for ``u``, made without
+    ``__post_init__``: u^H has u's singular values, so it is as unitary as u."""
+    inverse = copy.copy(gate)
+    object.__setattr__(inverse, "u", gate.u.conj().T)
+    return inverse
 
 
 # Each SingleQubit name: its param count and the builder of its matrix from
@@ -122,7 +114,8 @@ class SingleQubit(Gate):
             if self.u is not None:
                 raise InputError(f"{self.name} builds its own matrix; only U takes one")
             object.__setattr__(self, "u", build(*self.params))
-        _check_unitary(self.u, 2)
+        else:
+            _check_unitary(self.u, 2)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -130,7 +123,7 @@ class SingleQubit(Gate):
 
     def inverse(self) -> SingleQubit:
         if self.name == "U":
-            return SingleQubit(self.target, self.u.conj().T)
+            return _adjoint(self)
         if not self.params:
             return self  # H and X are self-inverse
         return SingleQubit(self.target, None, self.name, (-self.params[0],))
@@ -199,8 +192,7 @@ class ControlledUnitary(Gate):
         return self.controls + self.targets
 
     def inverse(self) -> ControlledUnitary:
-        u = self.u.conj().T
-        return ControlledUnitary(self.controls, self.targets, u, self.control_pattern)
+        return _adjoint(self)
 
     def dump_line(self) -> str:
         ts = " ".join(map(str, self.targets))

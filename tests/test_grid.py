@@ -215,6 +215,9 @@ class TestSchema:
             (lambda d: d["branches"][0].update(x_pu=-0.1), "positive"),
             (lambda d: d["branches"].clear(), "disconnected"),
             (lambda d: d["buses"].pop(), "2 buses"),
+            (lambda d: d["buses"].append(3), "must be an object"),
+            (lambda d: d["branches"].append([1, 2, 0.1]), "must be an object"),
+            (lambda d: d["buses"][1].update(id=0), "positive integer"),
         ],
     )
     def test_rejects_bad_input(self, mutate, message):

@@ -139,9 +139,17 @@ class TestChooseScaling:
         with pytest.raises(InputError):
             choose_scaling(eig, alpha=0)
 
-    @pytest.mark.parametrize("alpha", [2.5, "3", None, 1024, 10**6])
-    def test_alpha_must_be_an_int_whose_power_fits_a_float(self, alpha):
-        eig = eigendecompose(np.diag([0.5, 1.0]))
+    # (alpha, matrix): 2^alpha * lambda_max overflows on wscc9 (lambda_max
+    # ~ 53.9) from alpha = 1019, and 2 pi 2^alpha on diag(0.5, 1) at 1023.
+    BAD_ALPHAS = [(a, "diag") for a in (2.5, "3", None, 1024, 10**6)]
+    BAD_ALPHAS += [(a, "wscc9") for a in range(1019, 1024)] + [(1023, "diag")]
+
+    @pytest.mark.parametrize("alpha, matrix", BAD_ALPHAS, ids=[
+        f"{a}" if m == "diag" else f"{m}-{a}" for a, m in BAD_ALPHAS
+    ])
+    def test_alpha_must_be_an_int_whose_power_fits_a_float(self, wscc9_system, alpha, matrix):
+        b = wscc9_system.b if matrix == "wscc9" else np.diag([0.5, 1.0])
+        eig = eigendecompose(b)
         with pytest.raises(InputError, match="alpha"):
             choose_scaling(eig, alpha=alpha)
 
@@ -359,20 +367,31 @@ class TestRunHhl:
         with pytest.raises(InputError, match="alpha must be an int"):
             plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
 
-    @pytest.mark.parametrize("alpha, state_bytes", [
-        (60, str(16 * 2**64)),
-        (61, "2^69"),
-        (10**9, "2^1000000008"),
+    # (system dimension, alpha, bytes): wscc9 (n = 8) needs no padding, and
+    # n = 3 pads to 4, which must not run an eigendecomposition either.
+    HUGE_ALPHAS = [
+        (8, 60, str(16 * 2**64)),
+        (8, 61, "2^69"),
+        (8, 10**9, "2^1000000008"),
+        (3, 10**9, "2^1000000007"),
+    ]
+
+    @pytest.mark.parametrize("n, alpha, state_bytes", HUGE_ALPHAS, ids=[
+        f"{a}-{s}" if n == 8 else f"n{n}-{a}-{s}" for n, a, s in HUGE_ALPHAS
     ])
-    def test_huge_alpha_is_refused_by_width(self, wscc9_system, monkeypatch, alpha, state_bytes):
+    def test_huge_alpha_is_refused_by_width(
+        self, wscc9_system, monkeypatch, n, alpha, state_bytes
+    ):
         def never(*args):
             raise AssertionError("built past the size budget")
 
+        system = wscc9_system if n == 8 else diag_system([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])
         monkeypatch.setattr(hhl_module, "eigendecompose", never)
-        width = 3 + alpha + 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        width = (n - 1).bit_length() + alpha + 1
         message = f"{width} qubits needs a {state_bytes}-byte statevector"
         with pytest.raises(InputError, match=re.escape(message)):
-            plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
+            plan_hhl(system, HHLConfig(alpha=alpha))
 
     def test_tiny_c_starves_post_selection(self):
         system = diag_system([1.0, 0.5], [1.0, 0.0])

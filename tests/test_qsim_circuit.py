@@ -1,6 +1,7 @@
-"""Gate checks made when a gate is made: the closed-form 2x2 unitarity check
-against a dense oracle, the dense check on non-finite entries, and the names,
-params and matrices a SingleQubit can honour."""
+"""Gate checks made when a gate is made: the unitarity check against a dense
+oracle, on non-finite entries too, the names, params and matrices a
+SingleQubit can honour, and the gates that need no check: named gates and
+inverses."""
 
 import math
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from helpers import dense_unitary_deviation, random_unitary
 from qpf.errors import InputError
 from qpf.qsim import ControlledUnitary, SingleQubit, h, phase, ry, rz, x
-from qpf.qsim.circuit import UNITARY_TOL, _check_unitary, _deviation_2x2, _ry_matrix, _rz_matrix
+from qpf.qsim.circuit import UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
 
 
 def _two_by_twos(rng):
@@ -47,11 +48,6 @@ def test_closed_form_2x2_check_matches_the_dense_oracle(rng):
     outcomes = set()
     for u in _two_by_twos(rng):
         want = dense_unitary_deviation(u)
-        got = _deviation_2x2(u)
-        if math.isfinite(want):
-            assert abs(got - want) <= 1e-15, u
-        else:
-            assert not math.isfinite(got), u
         assert _rejected(u) == (not want <= UNITARY_TOL), u
         outcomes.add(_rejected(u))
     assert outcomes == {True, False}
@@ -114,3 +110,45 @@ def test_dense_check_rejects_non_finite_entries_without_a_warning(bad):
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="^matrix not unitary"):
             ControlledUnitary((), (0, 1), u)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_2x2_check_rejects_non_finite_entries_without_a_warning(bad):
+    u = np.eye(2, dtype=complex)
+    u[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^matrix not unitary"):
+            SingleQubit(0, u)
+
+
+EXTREME_ANGLES = [
+    0.0, math.pi, -math.pi, 1e-300, -1e-300, 1e300, -1e300,
+    1.7976931348623157e308, -1.7976931348623157e308, 5e-324,
+]
+
+
+@pytest.mark.parametrize("factory, params", NAMED_GATES)
+def test_named_gates_are_unitary_by_construction(rng, factory, params):
+    # Named gates skip the unitarity check, so their builders must be exact
+    # at every finite angle, extreme ones included.
+    angles = EXTREME_ANGLES + list(rng.uniform(-4 * math.pi, 4 * math.pi, size=200))
+    for angle in angles if params else [None]:
+        gate = factory(0) if angle is None else factory(0, angle)
+        for made in (gate, gate.inverse()):
+            assert dense_unitary_deviation(made.u) <= 1e-15, (made.name, angle)
+
+
+def test_inverse_is_the_exact_conjugate_transpose(rng):
+    gates = [
+        SingleQubit(1, random_unitary(rng, 2)),
+        ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)),
+        ControlledUnitary((0, 2), (1,), random_unitary(rng, 2), control_pattern=1),
+        ControlledUnitary((), (2, 0, 1), random_unitary(rng, 8)),
+    ]
+    for gate in gates:
+        inverse = gate.inverse()
+        assert type(inverse) is type(gate)
+        assert np.array_equal(inverse.u, gate.u.conj().T)
+        assert inverse.dump_line() != gate.dump_line()
+        assert inverse.inverse().dump_line() == gate.dump_line()

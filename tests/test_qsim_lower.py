@@ -160,6 +160,15 @@ def test_identity_lowering_emits_nothing_heavy():
     assert_equivalent(Circuit(2, [gate]), lowered, atol=1e-14)
 
 
+def test_near_identity_sub_block_is_dropped():
+    # A phase of 1.5e-12 is kept, but its square root on one control falls
+    # under the angle tolerance, so that multi-controlled sub-block is empty.
+    gate = ControlledUnitary((1, 2), (0,), np.diag([1.0, np.exp(1.5e-12j)]))
+    lowered = lower_to_basis(Circuit(3, [gate]))
+    assert is_lowered(lowered)
+    assert_equivalent(Circuit(3, [gate]), lowered, atol=1e-8)
+
+
 @pytest.mark.parametrize("n_targets", [1, 2])
 @pytest.mark.parametrize("patterned", [False, True])
 def test_lowered_controlled_unitary_stays_on_its_qubits(rng, n_targets, patterned):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qpf.qsim.circuit as circuit_module
-from helpers import dense_circuit, random_circuit, random_unitary
+from helpers import dense_circuit, exact_grid_system, random_circuit, random_unitary
 from qpf.errors import InputError, PostSelectionError
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
@@ -177,6 +177,16 @@ class TestValidation:
         with pytest.raises(InputError):
             Circuit(2).append(Cnot(1, 1))
 
+    @pytest.mark.parametrize("controls, target", [((0,), 0), ((1, 1), 0)])
+    def test_ucry_reusing_a_qubit(self, controls, target):
+        with pytest.raises(InputError, match="reuses a qubit"):
+            UniformlyControlledRy(controls, target, np.zeros(2 ** len(controls)))
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_empty_register(self, width):
+        with pytest.raises(InputError, match="num_qubits"):
+            Circuit(width)
+
     def test_overlapping_controls_and_targets(self, rng):
         with pytest.raises(InputError):
             gate = ControlledUnitary((0,), (0,), random_unitary(rng, 2))
@@ -204,6 +214,11 @@ class TestValidation:
         circuit = random_circuit(rng, 3, length=10)
         other = random_circuit(rng, 3, length=10)
         lowered = lower_to_basis(circuit)
+        checked = [
+            SingleQubit(0, random_unitary(rng, 2)),
+            ControlledUnitary((1,), (0, 2), random_unitary(rng, 4)),
+            rz(1, 0.7),
+        ]
         calls = []
         check = circuit_module._check_unitary
         monkeypatch.setattr(
@@ -213,8 +228,33 @@ class TestValidation:
         lower_to_basis(lower_to_basis(lowered))
         circuit.extend(other.gates)
         assert calls == []
-        h(0)  # making a gate is what runs its checks
+        # A named gate is unitary from its params, an inverse is the conjugate
+        # transpose of a checked matrix: neither checks a matrix again.
+        h(0)
+        rz(0, 0.3)
+        for gate in checked:
+            gate.inverse()
+        assert calls == []
+        # Making a gate from a caller's matrix is what runs the check.
+        SingleQubit(0, np.array([[1, 1], [1, -1]]) * INV_SQRT2)
         assert len(calls) == 1
+
+    def test_plans_check_only_the_matrices_they_build(self, wscc9_system, rng, monkeypatch):
+        # One check per controlled evolution (alpha of them, dense) and per
+        # QFT phase (alpha (alpha - 1) / 2); lowering and counting make none.
+        calls = []
+        check = circuit_module._check_unitary
+        monkeypatch.setattr(
+            circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
+        )
+        circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+        assert len(calls) == 15
+        assert metrics(circuit).cnot_count == 23550
+        assert len(calls) == 15
+        calls.clear()
+        plan_hhl(exact_grid_system(rng, 256, 7), HHLConfig(alpha=7))
+        dims = [dim for _, dim in calls]
+        assert (len(dims), dims.count(256), dims.count(2)) == (28, 7, 21)
 
     def test_wscc9_metrics_check_few_gates(self, wscc9_system, monkeypatch):
         # Lowering makes each repeated multi-controlled sub-block once per
