@@ -10,7 +10,9 @@ thread.  Each metrics case (rings with the seed of the benchmark's 17-bus
 ring, ``perfbench/oracles.py``) plans its circuit once, then times
 ``lower_to_basis`` alone and ``metrics`` (lowering plus the depth walk) on it
 ``--repeats`` times each, and prints width/depth/CNOTs with the median and
-the minimum of each in seconds, so the lowering and the walk read apart.
+the minimum of each in seconds, so the lowering and the walk read apart,
+then the number of distinct gate objects (by ``id``) in one lowered circuit,
+split into named ``SingleQubit``s and ``Cnot``s.
 Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
 ``--repeats`` times and prints its median and minimum; the 257-bus ring is
 ``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008).
@@ -34,7 +36,7 @@ import netgen  # noqa: E402
 import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
 from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
-from qpf.qsim import lower_to_basis, metrics  # noqa: E402
+from qpf.qsim import Cnot, SingleQubit, lower_to_basis, metrics  # noqa: E402
 
 
 def ring(buses: int, seed: int = oracles.RING17_SEED):
@@ -61,6 +63,14 @@ def timed(call, arg):
     return time.perf_counter() - start, result
 
 
+def distinct_gates(circuit) -> str:
+    """Distinct gate objects of the lowered ``circuit``: named SingleQubits and Cnots."""
+    gates = {id(g): g for g in lower_to_basis(circuit).gates}.values()
+    named = sum(isinstance(g, SingleQubit) and g.name != "U" for g in gates)
+    cnots = sum(isinstance(g, Cnot) for g in gates)
+    return f"objects named {named} cnot {cnots}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -76,7 +86,7 @@ def main() -> None:
               f"lower_to_basis median {statistics.median(lower_times):.3f} s "
               f"min {min(lower_times):.3f} s  "
               f"metrics median {statistics.median(metrics_times):.3f} s "
-              f"min {min(metrics_times):.3f} s")
+              f"min {min(metrics_times):.3f} s  {distinct_gates(circuit)}")
     for name, (make_network, alpha) in PLAN_CASES.items():
         system, config = build_reduced_system(make_network()), HHLConfig(alpha=alpha)
         plan_times = [timed(lambda s: plan_hhl(s, config), system)[0]

@@ -17,7 +17,6 @@ checked them; so every stored circuit is well-formed by construction.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -65,16 +64,22 @@ class Gate:
 
     Only a matrix a caller gives is checked for unitarity, once, when its gate
     is made: a named gate is unitary by construction from its checked params,
-    and an inverse is the conjugate transpose of a checked matrix.
+    and an inverse is the conjugate transpose of a checked matrix.  A named
+    gate builds ``u`` on its first read; its checks still run when it is made.
     """
 
 
+def _unchecked(cls: type, **fields) -> Gate:
+    """A ``cls`` holding ``fields`` of a checked gate, made without ``__post_init__``."""
+    gate = object.__new__(cls)
+    gate.__dict__.update(fields)
+    return gate
+
+
 def _adjoint(gate: Gate) -> Gate:
-    """A copy of a checked ``gate`` with ``u.conj().T`` for ``u``, made without
-    ``__post_init__``: u^H has u's singular values, so it is as unitary as u."""
-    inverse = copy.copy(gate)
-    object.__setattr__(inverse, "u", gate.u.conj().T)
-    return inverse
+    """A copy of a checked ``gate`` with ``u.conj().T`` for ``u``: u^H has u's
+    singular values, so it is as unitary as u."""
+    return _unchecked(type(gate), **{**vars(gate), "u": gate.u.conj().T})
 
 
 # Each SingleQubit name: its param count and the builder of its matrix from
@@ -92,8 +97,8 @@ _NAMED = {
 @dataclass(frozen=True, eq=False)
 class SingleQubit(Gate):
     """Any one-qubit unitary.  "U" (no params) is the matrix ``u`` it is given;
-    any other name builds ``u`` from its params, and a matrix given with it is
-    rejected: H and X take no params, RY, RZ and P one finite angle.
+    any other name builds ``u`` from its params on first read, and a matrix
+    given with it is rejected: H and X take no params, RY, RZ and P one finite angle.
     """
 
     target: int
@@ -113,9 +118,16 @@ class SingleQubit(Gate):
         if build is not None:
             if self.u is not None:
                 raise InputError(f"{self.name} builds its own matrix; only U takes one")
-            object.__setattr__(self, "u", build(*self.params))
+            object.__delattr__(self, "u")  # built by __getattr__ on first read
         else:
             _check_unitary(self.u, 2)
+
+    def __getattr__(self, attr: str):
+        # Only for attributes not held: ``u`` of a named gate before its first read.
+        if attr != "u":
+            raise AttributeError(attr)
+        object.__setattr__(self, "u", _NAMED[self.name][1](*self.params))
+        return self.u
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -136,6 +148,9 @@ class SingleQubit(Gate):
 
     def controlled_form(self):
         return (), 0, (self.target,), self.u
+
+
+del SingleQubit.u  # the field's default, so an unset ``u`` reaches __getattr__
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ differ in bit 0), offset to the block's basis states over the gate's local
 qubits -> each factor a multi-controlled 2x2 reached by a Gray-code walk ->
 ZYZ for one control, square-root recursion (Barenco et al. 1995) for more.
 UniformlyControlledRy uses the exact 2^k CNOT + 2^k Ry ladder.  A one-qubit
-ControlledUnitary with no controls is already a basis gate: a SingleQubit.
+ControlledUnitary with no controls is a basis gate: a U keeping its checked u.
 
 Gate counts here are generic-decomposition counts, not optimized-transpiler
 counts; correctness (unitary equivalence to 1e-8) is the contract.
@@ -33,6 +33,7 @@ from qpf.qsim.circuit import (
     Gate,
     SingleQubit,
     UniformlyControlledRy,
+    _unchecked,
     phase,
     ry,
     rz,
@@ -50,7 +51,7 @@ class _Memo:
     gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
     caller; ``adjoints`` maps the id of such a tuple (kept alive by
     ``mc_ones``) to its adjoint block, since hashing the tuple would cost its
-    length; ``invert`` is a cached ``Gate.inverse`` and ``x`` a cached ``x``.
+    length; ``invert``, ``x`` and ``cnot`` cache ``Gate.inverse``, ``x`` and ``Cnot``.
     """
 
     def __init__(self) -> None:
@@ -58,6 +59,7 @@ class _Memo:
         self.adjoints: dict[int, tuple[Gate, ...]] = {}
         self.invert = functools.cache(operator.methodcaller("inverse"))
         self.x = functools.cache(x)
+        self.cnot = functools.cache(Cnot)
 
     def adjoint(self, block: tuple[Gate, ...]) -> tuple[Gate, ...]:
         """The inverse of a block from ``mc_ones``: its gates reversed and inverted."""
@@ -76,10 +78,12 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
     # out.gates without Circuit.append's per-gate width check.
     gates = out.gates
     for gate in circuit.gates:
-        if isinstance(gate, (SingleQubit, Cnot)):
+        if isinstance(gate, SingleQubit):
             gates.append(gate)
+        elif isinstance(gate, Cnot):
+            gates.append(memo.cnot(gate.control, gate.target))
         elif isinstance(gate, UniformlyControlledRy):
-            gates.extend(_lower_ucry(gate))
+            gates.extend(_lower_ucry(gate, memo))
         elif isinstance(gate, ControlledUnitary):
             gates.extend(_lower_cu(gate, memo))
         else:
@@ -98,7 +102,7 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
+def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo) -> list[Gate]:
     k = len(gate.controls)
     if k == 0:
         return [ry(gate.target, float(gate.angles[0]))]
@@ -119,7 +123,7 @@ def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
             ctrl_bit = ((i + 1) & -(i + 1)).bit_length() - 1  # trailing zeros of i+1
         else:
             ctrl_bit = k - 1  # closing CNOT returns flip parity to zero
-        gates.append(Cnot(gate.controls[ctrl_bit], gate.target))
+        gates.append(memo.cnot(gate.controls[ctrl_bit], gate.target))
     return gates
 
 
@@ -128,7 +132,7 @@ def _lower_ucry(gate: UniformlyControlledRy) -> list[Gate]:
 
 def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     if not gate.controls and len(gate.targets) == 1:
-        return [SingleQubit(gate.targets[0], gate.u)]  # already a basis gate
+        return [_unchecked(SingleQubit, target=gate.targets[0], u=gate.u, name="U", params=())]
     # Local register: targets first (low bits), controls above them, so the
     # gate is identity but on the 2^m basis states from pattern << m up, where
     # it acts as u: decomposing u alone and offsetting its indices suffices.
@@ -224,34 +228,35 @@ def _mc_ones(
     key = (u.tobytes(), tuple(controls), target)
     if key in memo.mc_ones:
         return memo.mc_ones[key]
-    if np.abs(u - np.eye(2)).max() < _ANGLE_TOL:
+    (a, b), (c, d) = u.tolist()
+    if max(abs(a - 1), abs(b), abs(c), abs(d - 1)) < _ANGLE_TOL:  # u is I
         gates = []
     elif len(controls) == 1:
-        gates = _controlled_single(u, controls[0], target)
+        gates = _controlled_single(u, controls[0], target, memo)
     else:
         v = _sqrt_2x2(u)
         c_last, rest = controls[-1], list(controls[:-1])
-        gates = _controlled_single(v, c_last, target)
+        gates = _controlled_single(v, c_last, target, memo)
         gates += _mc_ones(_X, rest, c_last, memo)
-        gates += _controlled_single(v.conj().T, c_last, target)
+        gates += _controlled_single(v.conj().T, c_last, target, memo)
         gates += _mc_ones(_X, rest, c_last, memo)
         gates += _mc_ones(v, rest, target, memo)
     memo.mc_ones[key] = tuple(gates)
     return memo.mc_ones[key]
 
 
-def _controlled_single(u: np.ndarray, control: int, target: int) -> list[Gate]:
+def _controlled_single(u: np.ndarray, control: int, target: int, memo: _Memo) -> list[Gate]:
     """ABC identity: C-U = P(alpha)_c . A . CNOT . B . CNOT . C with ABC = I."""
     alpha, beta, gamma, delta = _zyz(u)
     gates: list[Gate] = []
     if abs(delta - beta) > _ANGLE_TOL:
         gates.append(rz(target, (delta - beta) / 2))
-    gates.append(Cnot(control, target))
+    gates.append(memo.cnot(control, target))
     if abs(delta + beta) > _ANGLE_TOL:
         gates.append(rz(target, -(delta + beta) / 2))
     if abs(gamma) > _ANGLE_TOL:
         gates.append(ry(target, -gamma / 2))
-    gates.append(Cnot(control, target))
+    gates.append(memo.cnot(control, target))
     if abs(gamma) > _ANGLE_TOL:
         gates.append(ry(target, gamma / 2))
     if abs(beta) > _ANGLE_TOL:

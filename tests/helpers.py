@@ -16,7 +16,7 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
 )
-from qpf.qsim.circuit import _ry_matrix
+from qpf.qsim.circuit import _NAMED, _ry_matrix
 
 
 def dense_gate(gate, n: int) -> np.ndarray:
@@ -158,3 +158,17 @@ def exact_grid_system(
     p = rng.normal(size=dim)
     p /= np.linalg.norm(p)
     return ReducedSystem(b=b, p=p, bus_order=tuple(range(2, dim + 2)))
+
+
+def count_named_builds(monkeypatch) -> list[str]:
+    """Wrap each named-gate matrix builder so every call appends its name to
+    the returned list."""
+    built: list[str] = []
+
+    def counting(name, build):
+        return lambda *params: built.append(name) or build(*params)
+
+    for name, (n_params, build) in list(_NAMED.items()):
+        if build is not None:
+            monkeypatch.setitem(_NAMED, name, (n_params, counting(name, build)))
+    return built

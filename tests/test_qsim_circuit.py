@@ -1,18 +1,19 @@
 """Gate checks made when a gate is made: the unitarity check against a dense
 oracle, on non-finite entries too, the names, params and matrices a
 SingleQubit can honour, and the gates that need no check: named gates and
-inverses."""
+inverses.  A named gate builds its matrix on first read."""
 
+import copy
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import dense_unitary_deviation, random_unitary
+from helpers import count_named_builds, dense_unitary_deviation, random_unitary
 from qpf.errors import InputError
 from qpf.qsim import ControlledUnitary, SingleQubit, h, phase, ry, rz, x
-from qpf.qsim.circuit import UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
+from qpf.qsim.circuit import _NAMED, UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
 
 
 def _two_by_twos(rng):
@@ -152,3 +153,44 @@ def test_inverse_is_the_exact_conjugate_transpose(rng):
         assert np.array_equal(inverse.u, gate.u.conj().T)
         assert inverse.dump_line() != gate.dump_line()
         assert inverse.inverse().dump_line() == gate.dump_line()
+
+
+def test_named_gate_builds_its_matrix_on_first_read(rng, monkeypatch):
+    built = count_named_builds(monkeypatch)
+    angles = rng.uniform(-4 * math.pi, 4 * math.pi, size=5)
+    factories = [(h, ()), (x, ())] + [
+        (factory, (float(a),)) for factory in (ry, rz, phase) for a in angles
+    ]
+    for factory, params in factories:
+        gate = factory(0, *params)
+        inverse, twin, line = gate.inverse(), copy.copy(gate), gate.dump_line()
+        assert built == [] and "u" not in vars(gate)
+        assert line == f"{gate.name} 0{''.join(f' {p!r}' for p in params)}"
+        assert (inverse.name, inverse.params) == (gate.name, tuple(-p for p in params))
+        assert (twin.name, twin.params) == (gate.name, params)
+        want = _NAMED[gate.name][1](*params)
+        built.clear()
+        first = gate.u
+        assert built == [gate.name]
+        assert first.dtype == complex and np.array_equal(first, want)
+        assert gate.u is first and built == [gate.name]
+        assert np.array_equal(twin.u, want)
+        assert np.array_equal(inverse.u, _NAMED[gate.name][1](*inverse.params))
+        fresh = factory(0, *params)
+        assert f"name={gate.name!r}" in repr(fresh)  # reads and builds u
+        assert np.array_equal(fresh.u, want)
+        built.clear()
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("FOO", (), "unknown one-qubit gate name"),
+    ("RZ", (), "takes 1 params"),
+    ("RY", (0.3, 0.3), "takes 1 params"),
+    ("H", (0.3,), "takes 0 params"),
+    ("P", (math.nan,), "non-finite"),
+    ("RZ", (math.inf,), "non-finite"),
+    ("RY", (-math.inf,), "non-finite"),
+])
+def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
+    with pytest.raises(InputError, match=message):
+        SingleQubit(0, None, name, params)

@@ -3,8 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+import qpf.qsim.circuit as circuit_module
 import qpf.qsim.lower as lower_module
-from helpers import dense_circuit, gate_qubit_set, random_circuit, random_unitary
+from helpers import (
+    count_named_builds,
+    dense_circuit,
+    gate_qubit_set,
+    random_circuit,
+    random_unitary,
+)
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
@@ -130,6 +137,22 @@ def test_uncontrolled_single_qubit_unitary_is_a_basis_gate(rng):
     assert metrics(circuit) == metrics(Circuit(1, [SingleQubit(0, u)]))
 
 
+def test_uncontrolled_single_qubit_unitary_is_not_checked_again(rng, monkeypatch):
+    circuits = [
+        Circuit(1, [ControlledUnitary((), (0,), np.eye(2))]),
+        Circuit(1, [ControlledUnitary((), (0,), random_unitary(rng, 2))]),
+    ]
+    want = [dump(Circuit(1, [SingleQubit(0, c.gates[0].u)])) for c in circuits]
+    assert want[0] == "U 0 1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0\n"
+    calls = []
+    check = circuit_module._check_unitary
+    monkeypatch.setattr(
+        circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
+    )
+    assert [dump(lower_to_basis(c)) for c in circuits] == want
+    assert calls == []
+
+
 def test_lowering_is_idempotent(rng):
     circuit = random_circuit(rng, 3, length=5)
     once = lower_to_basis(circuit)
@@ -217,6 +240,22 @@ def test_wscc9_alpha5_gate_sequence_is_pinned(wscc9_system):
     assert _dump_digest(circuit) == (
         87139, "070d961bbee65db654d207effaf457561b2fcf4148f7e357d4d92d1d92f8f119"
     )
+
+
+def test_wscc9_metrics_build_no_named_matrix_and_one_cnot_per_pair(
+    wscc9_system, monkeypatch
+):
+    # Lowering and counting never read a named gate's matrix, so none is
+    # built; each (control, target) pair has one Cnot object per call.
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+    built = count_named_builds(monkeypatch)
+    assert metrics(circuit).cnot_count == 23550
+    assert built == []
+    lowered = lower_to_basis(circuit)
+    cnots = {id(g): g for g in lowered.gates if isinstance(g, Cnot)}.values()
+    pairs = {(g.control, g.target) for g in cnots}
+    assert len(cnots) == len(pairs) == 53
+    assert built == []
 
 
 def test_patterned_six_control_gate_sequence_is_pinned():
