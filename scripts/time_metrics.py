@@ -12,10 +12,14 @@ ring, ``perfbench/oracles.py``) plans its circuit once, then times
 ``--repeats`` times each, and prints width/depth/CNOTs with the median and
 the minimum of each in seconds, so the lowering and the walk read apart,
 then the number of distinct gate objects (by ``id``) in one lowered circuit,
-split into named ``SingleQubit``s and ``Cnot``s.
+split into named ``SingleQubit``s and ``Cnot``s, and the number of
+``np.linalg.eig`` calls (square-root levels) in one lowering.
 Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
 ``--repeats`` times and prints its median and minimum; the 257-bus ring is
 ``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008).
+Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
+benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
+median and minimum of one cycle and the median per ``run_hhl`` call are printed.
 """
 
 import os
@@ -28,6 +32,9 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -35,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import netgen  # noqa: E402
 import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
-from qpf.hhl import HHLConfig, plan_hhl  # noqa: E402
+from qpf.hhl import HHLConfig, plan_hhl, run_hhl  # noqa: E402
 from qpf.qsim import Cnot, SingleQubit, lower_to_basis, metrics  # noqa: E402
 
 
@@ -71,6 +78,13 @@ def distinct_gates(circuit) -> str:
     return f"objects named {named} cnot {cnots}"
 
 
+def eig_calls(circuit) -> int:
+    """``np.linalg.eig`` calls in one ``lower_to_basis`` of ``circuit``."""
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig:
+        lower_to_basis(circuit)
+    return eig.call_count
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -86,13 +100,21 @@ def main() -> None:
               f"lower_to_basis median {statistics.median(lower_times):.3f} s "
               f"min {min(lower_times):.3f} s  "
               f"metrics median {statistics.median(metrics_times):.3f} s "
-              f"min {min(metrics_times):.3f} s  {distinct_gates(circuit)}")
+              f"min {min(metrics_times):.3f} s  {distinct_gates(circuit)}  "
+              f"eig calls {eig_calls(circuit)}")
     for name, (make_network, alpha) in PLAN_CASES.items():
         system, config = build_reduced_system(make_network()), HHLConfig(alpha=alpha)
         plan_times = [timed(lambda s: plan_hhl(s, config), system)[0]
                       for _ in range(args.repeats)]
         print(f"{name:10s} plan_hhl median {statistics.median(plan_times):.4f} s "
               f"min {min(plan_times):.4f} s")
+    system = build_reduced_system(load_fixture("wscc9"))
+    configs = [HHLConfig(alpha=alpha) for alpha in range(3, 7)]
+    cycle_times = [timed(lambda cs: [run_hhl(system, c) for c in cs], configs)[0]
+                   for _ in range(args.repeats)]
+    median = statistics.median(cycle_times)
+    print(f"wscc9 run_hhl alpha 3..6 cycle median {median:.4f} s "
+          f"min {min(cycle_times):.4f} s  per call {median / len(configs):.4f} s")
 
 
 if __name__ == "__main__":

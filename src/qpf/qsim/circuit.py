@@ -94,6 +94,20 @@ _NAMED = {
 }
 
 
+def _check_named(name: str, params: tuple[float, ...]):
+    """Reject an unknown name, a wrong param count or a non-finite angle;
+    return the name's matrix builder (None for "U")."""
+    entry = _NAMED.get(name)
+    if entry is None:
+        raise InputError(f"unknown one-qubit gate name {name!r}")
+    n_params, build = entry
+    if len(params) != n_params:
+        raise InputError(f"{name} takes {n_params} params, got {len(params)}")
+    if n_params and not math.isfinite(params[0]):
+        raise InputError(f"non-finite {name} angle")
+    return build
+
+
 @dataclass(frozen=True, eq=False)
 class SingleQubit(Gate):
     """Any one-qubit unitary.  "U" (no params) is the matrix ``u`` it is given;
@@ -107,15 +121,7 @@ class SingleQubit(Gate):
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        entry = _NAMED.get(self.name)
-        if entry is None:
-            raise InputError(f"unknown one-qubit gate name {self.name!r}")
-        n_params, build = entry
-        if len(self.params) != n_params:
-            raise InputError(f"{self.name} takes {n_params} params, got {len(self.params)}")
-        if n_params and not math.isfinite(self.params[0]):
-            raise InputError(f"non-finite {self.name} angle")
-        if build is not None:
+        if _check_named(self.name, self.params) is not None:
             if self.u is not None:
                 raise InputError(f"{self.name} builds its own matrix; only U takes one")
             object.__delattr__(self, "u")  # built by __getattr__ on first read
@@ -138,7 +144,7 @@ class SingleQubit(Gate):
             return _adjoint(self)
         if not self.params:
             return self  # H and X are self-inverse
-        return SingleQubit(self.target, None, self.name, (-self.params[0],))
+        return _named(self.target, self.name, (-self.params[0],))
 
     def dump_line(self) -> str:
         if self.name == "U":
@@ -253,24 +259,36 @@ class UniformlyControlledRy(Gate):
         return (), 0, (self.target, *self.controls), u
 
 
+def _named(target: int, name: str, params: tuple[float, ...] = ()) -> SingleQubit:
+    """``SingleQubit(target, None, name, params)`` for a name other than "U",
+    with the same checks, made without the dataclass ``__init__``: the fields
+    are set in declaration order, ``u`` left to be built on first read."""
+    _check_named(name, params)
+    gate = object.__new__(SingleQubit)
+    object.__setattr__(gate, "target", target)
+    object.__setattr__(gate, "name", name)
+    object.__setattr__(gate, "params", params)
+    return gate
+
+
 def h(target: int) -> SingleQubit:
-    return SingleQubit(target, None, "H")
+    return _named(target, "H")
 
 
 def x(target: int) -> SingleQubit:
-    return SingleQubit(target, None, "X")
+    return _named(target, "X")
 
 
 def ry(target: int, theta: float) -> SingleQubit:
-    return SingleQubit(target, None, "RY", (theta,))
+    return _named(target, "RY", (theta,))
 
 
 def rz(target: int, theta: float) -> SingleQubit:
-    return SingleQubit(target, None, "RZ", (theta,))
+    return _named(target, "RZ", (theta,))
 
 
 def phase(target: int, phi: float) -> SingleQubit:
-    return SingleQubit(target, None, "P", (phi,))
+    return _named(target, "P", (phi,))
 
 
 @dataclass

@@ -51,11 +51,14 @@ class _Memo:
     gates of ``_mc_ones`` as a tuple, so a shared entry cannot be edited by a
     caller; ``adjoints`` maps the id of such a tuple (kept alive by
     ``mc_ones``) to its adjoint block, since hashing the tuple would cost its
-    length; ``invert``, ``x`` and ``cnot`` cache ``Gate.inverse``, ``x`` and ``Cnot``.
+    length; ``sqrt`` maps the bytes of each 2x2 whose root ``_mc_ones`` reads
+    for the gate being lowered to that root (see ``_root_chains``);
+    ``invert``, ``x`` and ``cnot`` cache ``Gate.inverse``, ``x`` and ``Cnot``.
     """
 
     def __init__(self) -> None:
         self.mc_ones: dict[tuple, tuple[Gate, ...]] = {}
+        self.sqrt: dict[bytes, np.ndarray] = {}
         self.adjoints: dict[int, tuple[Gate, ...]] = {}
         self.invert = functools.cache(operator.methodcaller("inverse"))
         self.x = functools.cache(x)
@@ -138,10 +141,32 @@ def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     # it acts as u: decomposing u alone and offsetting its indices suffices.
     local = list(gate.targets) + list(gate.controls)
     base = gate.pattern << len(gate.targets)
+    factors = _two_level_decompose(gate.u)
+    # _mc_ones of a 2x2 under c >= 2 controls reads its root, whose own
+    # _mc_ones under c - 1 controls reads the next, down to one control.
+    memo.sqrt = _root_chains([_X, *(v for _, _, v in factors)], len(local) - 2)
     gates: list[Gate] = []
-    for i1, i2, v in _two_level_decompose(gate.u):
+    for i1, i2, v in factors:
         gates.extend(_two_level_gates(base + i1, base + i2, v, local, memo))
     return gates
+
+
+def _root_chains(mats: list[np.ndarray], depth: int) -> dict[bytes, np.ndarray]:
+    """The bytes of each of ``mats`` mapped to its principal square root, and
+    so on for each root, ``depth`` levels down, with one stacked
+    ``_sqrt_2x2`` per level.  An identity, which ``_mc_ones`` lowers to
+    nothing, needs no root; a matrix rooted at an earlier level has its chain.
+    """
+    roots: dict[bytes, np.ndarray] = {}
+    level = mats
+    for _ in range(depth):
+        todo = {u.tobytes(): u for u in level}
+        todo = {k: u for k, u in todo.items() if k not in roots and not _is_identity(u)}
+        if not todo:
+            break
+        level = _sqrt_2x2(np.array(list(todo.values())))
+        roots.update(zip(todo, level))
+    return roots
 
 
 def _two_level_decompose(w: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
@@ -228,13 +253,12 @@ def _mc_ones(
     key = (u.tobytes(), tuple(controls), target)
     if key in memo.mc_ones:
         return memo.mc_ones[key]
-    (a, b), (c, d) = u.tolist()
-    if max(abs(a - 1), abs(b), abs(c), abs(d - 1)) < _ANGLE_TOL:  # u is I
+    if _is_identity(u):
         gates = []
     elif len(controls) == 1:
         gates = _controlled_single(u, controls[0], target, memo)
     else:
-        v = _sqrt_2x2(u)
+        v = memo.sqrt[key[0]]
         c_last, rest = controls[-1], list(controls[:-1])
         gates = _controlled_single(v, c_last, target, memo)
         gates += _mc_ones(_X, rest, c_last, memo)
@@ -243,6 +267,11 @@ def _mc_ones(
         gates += _mc_ones(v, rest, target, memo)
     memo.mc_ones[key] = tuple(gates)
     return memo.mc_ones[key]
+
+
+def _is_identity(u: np.ndarray) -> bool:
+    (a, b), (c, d) = u.tolist()
+    return max(abs(a - 1), abs(b), abs(c), abs(d - 1)) < _ANGLE_TOL
 
 
 def _controlled_single(u: np.ndarray, control: int, target: int, memo: _Memo) -> list[Gate]:
@@ -283,7 +312,12 @@ def _zyz(u: np.ndarray):
 
 
 def _sqrt_2x2(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 unitary."""
+    """Principal square roots of an (N, 2, 2) stack of unitaries.
+
+    numpy's linalg gufuncs run the same LAPACK routine once per matrix, so
+    each root is bit for bit the root of that matrix alone.
+    """
     vals, vecs = np.linalg.eig(u)
-    roots = np.array([cmath.exp(1j * cmath.phase(lam) / 2) for lam in vals])
-    return (vecs * roots) @ np.linalg.inv(vecs)
+    roots = np.array([[cmath.exp(1j * cmath.phase(lam) / 2) for lam in row]
+                      for row in vals.tolist()])
+    return (vecs * roots[:, None, :]) @ np.linalg.inv(vecs)

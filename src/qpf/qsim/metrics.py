@@ -26,7 +26,7 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
     ready = [0] * circuit.num_qubits
     cnots = 0
     for gate in lowered.gates:  # only Cnot and SingleQubit after lowering
-        if isinstance(gate, Cnot):
+        if type(gate) is Cnot:
             c, t = gate.control, gate.target
             # A conditional, not max(): this runs once per lowered CNOT.
             layer = (ready[c] if ready[c] > ready[t] else ready[t]) + 1

@@ -85,6 +85,9 @@ def post_select(state: np.ndarray, qubit: int, outcome: int) -> PostSelection:
     sel[_axis(n, qubit)] = outcome
     branch = psi[tuple(sel)]
     probability = float(np.sum(np.abs(branch) ** 2))
+    if not math.isfinite(probability):  # a NaN or inf amplitude in the branch
+        raise InputError(f"outcome {outcome} on qubit {qubit} has non-finite "
+                         f"probability {probability}")
     if probability < MIN_POST_SELECT_PROB:
         raise PostSelectionError(
             f"outcome {outcome} on qubit {qubit} has probability "

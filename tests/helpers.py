@@ -6,6 +6,8 @@ they cannot share bugs with the tensor-contraction code under test.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from qpf.grid import ReducedSystem
@@ -102,6 +104,14 @@ def dense_unitary_deviation(u: np.ndarray) -> float:
     u = np.asarray(u)
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max(np.abs(np.conj(u).T @ u - np.identity(u.shape[0]))))
+
+
+def sqrt_2x2_alone(u: np.ndarray) -> np.ndarray:
+    """Principal square root of one 2x2 unitary by the square-root
+    recursion's one-matrix formula, the reference for the stacked root."""
+    vals, vecs = np.linalg.eig(u)
+    roots = np.array([cmath.exp(1j * cmath.phase(lam) / 2) for lam in vals])
+    return (vecs * roots) @ np.linalg.inv(vecs)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -182,6 +182,9 @@ def test_named_gate_builds_its_matrix_on_first_read(rng, monkeypatch):
         built.clear()
 
 
+_HELPERS = {"H": h, "X": x, "RY": ry, "RZ": rz, "P": phase}
+
+
 @pytest.mark.parametrize("name, params, message", [
     ("FOO", (), "unknown one-qubit gate name"),
     ("RZ", (), "takes 1 params"),
@@ -190,7 +193,32 @@ def test_named_gate_builds_its_matrix_on_first_read(rng, monkeypatch):
     ("P", (math.nan,), "non-finite"),
     ("RZ", (math.inf,), "non-finite"),
     ("RY", (-math.inf,), "non-finite"),
+    ("P", (math.inf,), "non-finite P angle"),
+    ("P", (-math.inf,), "non-finite P angle"),
+    ("RZ", (math.nan,), "non-finite RZ angle"),
+    ("RZ", (-math.inf,), "non-finite RZ angle"),
+    ("RY", (math.nan,), "non-finite RY angle"),
+    ("RY", (math.inf,), "non-finite RY angle"),
 ])
 def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
     with pytest.raises(InputError, match=message):
         SingleQubit(0, None, name, params)
+    # The helper of a known name, given its param count, runs the same checks.
+    if name in _HELPERS and len(params) == _NAMED[name][0]:
+        with pytest.raises(InputError, match=message):
+            _HELPERS[name](0, *params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("H", ()), ("X", ()), ("RY", (0.3,)), ("RZ", (-1.7,)), ("P", (2.5,)), ("RZ", (0.0,)),
+])
+def test_helper_made_gate_is_the_constructor_made_gate(name, params):
+    made, want = _HELPERS[name](3, *params), SingleQubit(3, None, name, params)
+    inverse, want_inverse = made.inverse(), want.inverse()
+    for got, ref in ((made, want), (inverse, want_inverse)):
+        assert type(got) is SingleQubit
+        assert list(vars(got).items()) == list(vars(ref).items())  # no u yet
+        assert got.dump_line() == ref.dump_line()
+        assert np.array_equal(got.u, ref.u) and got.u.dtype == ref.u.dtype
+        assert repr(got) == repr(ref)
+    assert inverse.dump_line() == f"{name} 3{''.join(f' {-p!r}' for p in params)}"

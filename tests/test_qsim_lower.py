@@ -11,6 +11,7 @@ from helpers import (
     gate_qubit_set,
     random_circuit,
     random_unitary,
+    sqrt_2x2_alone,
 )
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
@@ -26,7 +27,7 @@ from qpf.qsim import (
     metrics,
     ry,
 )
-from qpf.qsim.circuit import _ry_matrix, _rz_matrix
+from qpf.qsim.circuit import _X, _ry_matrix, _rz_matrix
 
 
 def assert_equivalent(circuit, lowered, atol=1e-10):
@@ -181,6 +182,58 @@ def test_identity_lowering_emits_nothing_heavy():
     gate = ControlledUnitary((1,), (0,), np.eye(2, dtype=complex))
     lowered = lower_to_basis(Circuit(2, [gate]))
     assert_equivalent(Circuit(2, [gate]), lowered, atol=1e-14)
+
+
+def _x_chain(depth: int) -> list[np.ndarray]:
+    """X and its repeated principal square roots, each taken alone."""
+    chain = [_X]
+    for _ in range(depth):
+        chain.append(sqrt_2x2_alone(chain[-1]))
+    return chain
+
+
+def test_stacked_roots_are_the_one_matrix_roots(rng):
+    # Each root of a stack is bit for bit the root of its matrix alone, so
+    # the lowered gates (their angles read off the roots) are unchanged.
+    unitaries = [random_unitary(rng, 2) for _ in range(64)]
+    phases = [np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2))) for _ in range(16)]
+    phases += [np.diag(d).astype(complex) for d in ([1, -1], [-1, 1], [1j, 1], [-1, -1])]
+    for mats in (unitaries, phases, _x_chain(8)):
+        stacked = lower_module._sqrt_2x2(np.array(mats))
+        assert stacked.shape == (len(mats), 2, 2)
+        for u, root in zip(mats, stacked, strict=True):
+            assert np.array_equal(root, sqrt_2x2_alone(u))
+
+
+def test_root_chains_hold_each_chain_and_skip_identities():
+    chain = _x_chain(4)
+    s_gate = np.diag([1, 1j])
+    # chain[1] is a matrix and the root of another: its chain is taken once.
+    roots = lower_module._root_chains([_X, np.eye(2, dtype=complex), chain[1], s_gate], 4)
+    for u, root in zip(chain, chain[1:]):
+        assert np.array_equal(roots[u.tobytes()], root)
+    assert np.eye(2, dtype=complex).tobytes() not in roots
+    u = s_gate
+    for _ in range(4):
+        u = roots[u.tobytes()]
+    np.testing.assert_allclose(np.linalg.matrix_power(u, 16), s_gate, atol=1e-14)
+    assert lower_module._root_chains([_X], 0) == {}
+
+
+def test_wscc9_lowering_takes_one_eig_per_controlled_unitary_and_level(
+    wscc9_system, monkeypatch
+):
+    # The square roots of each controlled unitary's factors are taken one
+    # stacked call per chain level: 20 calls where one per root made 607.
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+    levels = sum(max(len(g.qubits) - 2, 0) for g in circuit.gates
+                 if isinstance(g, ControlledUnitary))
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda u: calls.append(u.shape) or eig(u))
+    assert metrics(circuit).cnot_count == 23550
+    assert len(calls) <= levels == 20
+    assert all(len(shape) == 3 for shape in calls)
 
 
 def test_near_identity_sub_block_is_dropped():

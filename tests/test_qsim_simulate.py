@@ -350,6 +350,16 @@ class TestPostSelect:
         with pytest.raises(InputError):
             post_select(zero_state(1), 1, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_branch_raises(self, bad):
+        state = np.array([bad, 0, 0, 0], dtype=complex)
+        with pytest.raises(InputError, match="non-finite probability"):
+            post_select(state, qubit=1, outcome=0)
+        # A non-finite amplitude in the other branch is dropped by the collapse.
+        result = post_select(np.array([1, bad, 0, 0], dtype=complex), qubit=0, outcome=0)
+        assert result.probability == 1.0
+        assert np.array_equal(result.state, [1, 0, 0, 0])
+
     def test_empty_state(self):
         with pytest.raises(InputError, match="power of two"):
             post_select(np.array([]), 0, 0)
