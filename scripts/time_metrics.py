@@ -20,6 +20,8 @@ Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
 Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
 benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
 median and minimum of one cycle and the median per ``run_hhl`` call are printed.
+Then the cost of one named-gate constructor: the best of ``--repeats`` runs of
+100,000 ``rz(1, 0.3)`` and of 100,000 ``h(1)`` calls, in microseconds per call.
 """
 
 import os
@@ -31,6 +33,7 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -43,7 +46,7 @@ import netgen  # noqa: E402
 import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
 from qpf.hhl import HHLConfig, plan_hhl, run_hhl  # noqa: E402
-from qpf.qsim import Cnot, SingleQubit, lower_to_basis, metrics  # noqa: E402
+from qpf.qsim import Cnot, SingleQubit, h, lower_to_basis, metrics, rz  # noqa: E402
 
 
 def ring(buses: int, seed: int = oracles.RING17_SEED):
@@ -85,6 +88,11 @@ def eig_calls(circuit) -> int:
     return eig.call_count
 
 
+def us_per_call(make, repeats: int, number: int = 100_000) -> float:
+    """Best of ``repeats`` runs of ``number`` calls of ``make``, in µs per call."""
+    return min(timeit.repeat(make, number=number, repeat=repeats)) / number * 1e6
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -115,6 +123,8 @@ def main() -> None:
     median = statistics.median(cycle_times)
     print(f"wscc9 run_hhl alpha 3..6 cycle median {median:.4f} s "
           f"min {min(cycle_times):.4f} s  per call {median / len(configs):.4f} s")
+    print(f"named gate constructor rz() {us_per_call(lambda: rz(1, 0.3), args.repeats):.3f} us "
+          f"h() {us_per_call(lambda: h(1), args.repeats):.3f} us")
 
 
 if __name__ == "__main__":

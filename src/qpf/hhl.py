@@ -102,7 +102,9 @@ def eigendecompose(b: np.ndarray) -> EigenDecomposition:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InputError("matrix must be square")
-    if np.abs(b - b.T).max() > 1e-9:
+    if not np.isfinite(b).all():
+        raise InputError("matrix has a non-finite entry")
+    if not np.abs(b - b.T).max() <= 1e-9:  # also rejects NaN
         raise InputError("matrix must be symmetric")
     lambdas, vectors = np.linalg.eigh(b)
     if lambdas[0] <= 0:
@@ -341,6 +343,8 @@ def fidelity(reference: np.ndarray, candidate: np.ndarray) -> float:
     """Squared normalized overlap of two real vectors."""
     a = np.asarray(reference, dtype=float)
     b = np.asarray(candidate, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("fidelity of a non-finite vector is undefined")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise InputError("fidelity of a zero vector is undefined")

@@ -54,13 +54,14 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
 
 
 class Gate:
-    """Base of the four gate kinds.  Each kind's class defines ``__post_init__``
-    (every check that needs the gate alone, run once when it is made),
-    ``qubits`` (controls included), ``inverse()``, ``dump_line()`` and
-    ``controlled_form()``: the ``(controls, pattern, targets, u)`` the simulator
-    applies, ``u`` acting on ``targets`` (``targets[j]`` is matrix bit j) where
-    control i reads bit i of ``pattern``; a stack ``u[m]`` acts on the low
-    target bits where the high ones read m.
+    """Base of the four gate kinds.  Each kind's class runs every check that
+    needs the gate alone once, when it is made (in ``__post_init__``, or in
+    ``SingleQubit.__init__``), and defines ``qubits`` (controls included),
+    ``inverse()``, ``dump_line()`` and ``controlled_form()``: the
+    ``(controls, pattern, targets, u)`` the simulator applies, ``u`` acting on
+    ``targets`` (``targets[j]`` is matrix bit j) where control i reads bit i
+    of ``pattern``; a stack ``u[m]`` acts on the low target bits where the
+    high ones read m.
 
     Only a matrix a caller gives is checked for unitarity, once, when its gate
     is made: a named gate is unitary by construction from its checked params,
@@ -70,7 +71,7 @@ class Gate:
 
 
 def _unchecked(cls: type, **fields) -> Gate:
-    """A ``cls`` holding ``fields`` of a checked gate, made without ``__post_init__``."""
+    """A ``cls`` holding ``fields`` of a checked gate, made without its checks."""
     gate = object.__new__(cls)
     gate.__dict__.update(fields)
     return gate
@@ -94,39 +95,44 @@ _NAMED = {
 }
 
 
-def _check_named(name: str, params: tuple[float, ...]):
-    """Reject an unknown name, a wrong param count or a non-finite angle;
-    return the name's matrix builder (None for "U")."""
-    entry = _NAMED.get(name)
-    if entry is None:
-        raise InputError(f"unknown one-qubit gate name {name!r}")
-    n_params, build = entry
-    if len(params) != n_params:
-        raise InputError(f"{name} takes {n_params} params, got {len(params)}")
-    if n_params and not math.isfinite(params[0]):
-        raise InputError(f"non-finite {name} angle")
-    return build
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SingleQubit(Gate):
     """Any one-qubit unitary.  "U" (no params) is the matrix ``u`` it is given;
     any other name builds ``u`` from its params on first read, and a matrix
-    given with it is rejected: H and X take no params, RY, RZ and P one finite angle.
+    given with it is rejected: H and X take no params, RY, RZ and P one finite
+    real angle.  A named gate is made with ``u`` unset; ``u`` has no default,
+    so no class attribute keeps its first read from ``__getattr__``.
     """
 
     target: int
-    u: np.ndarray | None = None
-    name: str = "U"
-    params: tuple[float, ...] = ()
+    u: np.ndarray | None
+    name: str
+    params: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if _check_named(self.name, self.params) is not None:
-            if self.u is not None:
-                raise InputError(f"{self.name} builds its own matrix; only U takes one")
-            object.__delattr__(self, "u")  # built by __getattr__ on first read
-        else:
-            _check_unitary(self.u, 2)
+    def __init__(self, target: int, u: np.ndarray | None = None,
+                 name: str = "U", params: tuple[float, ...] = ()) -> None:
+        entry = _NAMED.get(name)
+        if entry is None:
+            raise InputError(f"unknown one-qubit gate name {name!r}")
+        n_params, build = entry
+        if len(params) != n_params:
+            raise InputError(f"{name} takes {n_params} params, got {len(params)}")
+        if n_params:
+            try:
+                finite = math.isfinite(params[0])
+            except TypeError:
+                raise InputError(f"{name} angle must be a real number, "
+                                 f"got {type(params[0]).__name__}") from None
+            if not finite:
+                raise InputError(f"non-finite {name} angle")
+        object.__setattr__(self, "target", target)
+        if build is None:
+            _check_unitary(u, 2)
+            object.__setattr__(self, "u", u)
+        elif u is not None:
+            raise InputError(f"{name} builds its own matrix; only U takes one")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
 
     def __getattr__(self, attr: str):
         # Only for attributes not held: ``u`` of a named gate before its first read.
@@ -144,7 +150,7 @@ class SingleQubit(Gate):
             return _adjoint(self)
         if not self.params:
             return self  # H and X are self-inverse
-        return _named(self.target, self.name, (-self.params[0],))
+        return SingleQubit(self.target, None, self.name, (-self.params[0],))
 
     def dump_line(self) -> str:
         if self.name == "U":
@@ -154,9 +160,6 @@ class SingleQubit(Gate):
 
     def controlled_form(self):
         return (), 0, (self.target,), self.u
-
-
-del SingleQubit.u  # the field's default, so an unset ``u`` reaches __getattr__
 
 
 @dataclass(frozen=True)
@@ -259,36 +262,24 @@ class UniformlyControlledRy(Gate):
         return (), 0, (self.target, *self.controls), u
 
 
-def _named(target: int, name: str, params: tuple[float, ...] = ()) -> SingleQubit:
-    """``SingleQubit(target, None, name, params)`` for a name other than "U",
-    with the same checks, made without the dataclass ``__init__``: the fields
-    are set in declaration order, ``u`` left to be built on first read."""
-    _check_named(name, params)
-    gate = object.__new__(SingleQubit)
-    object.__setattr__(gate, "target", target)
-    object.__setattr__(gate, "name", name)
-    object.__setattr__(gate, "params", params)
-    return gate
-
-
 def h(target: int) -> SingleQubit:
-    return _named(target, "H")
+    return SingleQubit(target, None, "H")
 
 
 def x(target: int) -> SingleQubit:
-    return _named(target, "X")
+    return SingleQubit(target, None, "X")
 
 
 def ry(target: int, theta: float) -> SingleQubit:
-    return _named(target, "RY", (theta,))
+    return SingleQubit(target, None, "RY", (theta,))
 
 
 def rz(target: int, theta: float) -> SingleQubit:
-    return _named(target, "RZ", (theta,))
+    return SingleQubit(target, None, "RZ", (theta,))
 
 
 def phase(target: int, phi: float) -> SingleQubit:
-    return _named(target, "P", (phi,))
+    return SingleQubit(target, None, "P", (phi,))
 
 
 @dataclass
@@ -305,6 +296,8 @@ class Circuit:
 
     def append(self, gate: Gate) -> None:
         for q in gate.qubits:
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                raise InputError(f"qubit index {q!r} is not an integer")
             if not 0 <= q < self.num_qubits:
                 raise InputError(f"qubit {q} out of range for width {self.num_qubits}")
         self.gates.append(gate)

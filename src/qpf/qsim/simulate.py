@@ -42,6 +42,8 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     out = np.array(state, dtype=complex)
     if out.shape != (2**n,):
         raise InputError(f"state dimension {out.shape} != ({2**n},)")
+    if not np.isfinite(out).all():
+        raise InputError("state has a non-finite amplitude")
     psi = out.reshape([2] * n)
     gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:

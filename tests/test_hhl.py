@@ -67,6 +67,18 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="positive definite"):
             eigendecompose(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row, col", [(0, 1), (1, 0), (0, 0), (1, 1)])
+    def test_rejects_non_finite_before_eigh(self, bad, row, col, monkeypatch):
+        def eigh(_):
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        b = np.eye(2)
+        b[row, col] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            eigendecompose(b)
+
 
 class TestChooseScaling:
     def test_formula(self):
@@ -514,6 +526,13 @@ class TestFidelity:
     def test_symmetric(self, rng):
         a, b = rng.normal(size=5), rng.normal(size=5)
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for reference, candidate in (([1.0, 2.0], [bad, 1.0]), ([bad, 1.0], [1.0, 2.0]),
+                                     ([bad, 0.0], [bad, 0.0])):
+            with pytest.raises(InputError, match="non-finite"):
+                fidelity(reference, candidate)
 
     def test_clipped_to_one(self):
         v = [1 / math.sqrt(3)] * 3

@@ -4,6 +4,7 @@ SingleQubit can honour, and the gates that need no check: named gates and
 inverses.  A named gate builds its matrix on first read."""
 
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -199,6 +200,11 @@ _HELPERS = {"H": h, "X": x, "RY": ry, "RZ": rz, "P": phase}
     ("RZ", (-math.inf,), "non-finite RZ angle"),
     ("RY", (math.nan,), "non-finite RY angle"),
     ("RY", (math.inf,), "non-finite RY angle"),
+    ("RZ", ("0.3",), "RZ angle must be a real number, got str"),
+    ("RZ", (1j,), "RZ angle must be a real number, got complex"),
+    ("RZ", (None,), "RZ angle must be a real number, got NoneType"),
+    ("RY", ("0.3",), "RY angle must be a real number"),
+    ("P", (None,), "P angle must be a real number"),
 ])
 def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
     with pytest.raises(InputError, match=message):
@@ -222,3 +228,19 @@ def test_helper_made_gate_is_the_constructor_made_gate(name, params):
         assert np.array_equal(got.u, ref.u) and got.u.dtype == ref.u.dtype
         assert repr(got) == repr(ref)
     assert inverse.dump_line() == f"{name} 3{''.join(f' {-p!r}' for p in params)}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rz(1, 0.3), lambda: h(1), lambda: SingleQubit(1, _rz_matrix(0.3)),
+])
+def test_single_qubit_keeps_its_dataclass_fields_and_frozenness(make):
+    assert [f.name for f in dataclasses.fields(SingleQubit)] == ["target", "u", "name", "params"]
+    gate = make()
+    for read_u in (False, True):
+        if read_u:
+            gate.u
+        for attr, value in (("target", 0), ("name", "H"), ("params", ()), ("u", np.eye(2))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gate, attr, value)
+        assert (gate.target, gate.params) == (1, make().params)
+    assert np.array_equal(gate.u, make().u)

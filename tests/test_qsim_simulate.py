@@ -126,6 +126,16 @@ def test_apply_circuit_rejects_wrong_length():
         apply_circuit(np.ones(3), Circuit(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_apply_circuit_rejects_a_non_finite_state_before_any_gate(bad, monkeypatch):
+    def run(_gate):
+        raise AssertionError("a gate ran")
+
+    monkeypatch.setattr(SingleQubit, "controlled_form", run)
+    with pytest.raises(InputError, match="non-finite amplitude"):
+        apply_circuit(np.array([bad, 0], dtype=complex), Circuit(1, [h(0)]))
+
+
 def test_apply_gate_rejects_out_of_range_qubit():
     # A qubit past the register must not wrap onto another tensor axis.
     with pytest.raises(InputError, match="range"):
@@ -172,6 +182,19 @@ class TestValidation:
     def test_target_out_of_range(self):
         with pytest.raises(InputError, match="range"):
             Circuit(2).append(x(2))
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, np.float64(1.0), True, False, np.bool_(True)])
+    def test_non_int_qubit_index_rejected(self, index):
+        for gate in (h(index), Cnot(index, 2), Cnot(2, index)):
+            with pytest.raises(InputError, match="not an integer"):
+                Circuit(3).append(gate)
+            with pytest.raises(InputError, match="not an integer"):
+                Circuit(3, [gate])
+
+    @pytest.mark.parametrize("index", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_numpy_and_python_int_qubit_indices_accepted(self, index):
+        circuit = Circuit(3, [h(index), Cnot(index, 2), Cnot(0, index)])
+        assert dump(circuit) == "H 1\nCNOT 2 [1]\nCNOT 1 [0]\n"
 
     def test_cnot_control_equals_target(self):
         with pytest.raises(InputError):
