@@ -19,7 +19,8 @@ import numpy as np
 
 from qpf.errors import InputError, NumericalError
 
-_BASES = {"2": 2.0, "e": math.e, "10": 10.0}
+_LN_BASES = {name: math.log(base) for name, base in (("2", 2.0), ("e", math.e), ("10", 10.0))}
+_math_log_each = np.vectorize(math.log, otypes=[float])
 
 SEARCH_RANGE = (2.0, 1.0e7)
 BISECT_REL_TOL = 1e-6
@@ -43,8 +44,8 @@ class ComplexityParams:
         if not 0 < self.epsilon < 1:
             raise InputError("epsilon must lie in (0, 1)")
         for base in (self.log_n_base, self.log_eps_base):
-            if base not in _BASES:
-                raise InputError(f"log base {base!r} not one of {sorted(_BASES)}")
+            if base not in _LN_BASES:
+                raise InputError(f"log base {base!r} not one of {sorted(_LN_BASES)}")
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,18 @@ class CrossoverReport:
     samples: list[tuple[float, float, float]]
 
 
-def _log(value: float, base: str) -> float:
-    return math.log(value) / math.log(_BASES[base])
+def _log(value: float | np.ndarray, base: str) -> float | np.ndarray:
+    """log_base of a float, or of each entry of a float ndarray.
+
+    An ndarray's entries go through ``math.log`` one by one: numpy's SIMD
+    ``np.log`` can differ from it in the last bit, which JSON output prints.
+    """
+    ln = _math_log_each(value) if isinstance(value, np.ndarray) else math.log(value)
+    return ln / _LN_BASES[base]
 
 
-def _check_n(n: float) -> None:
-    if not n >= 2:
+def _check_n(n: float | np.ndarray) -> None:
+    if not ((n >= 2).all() if isinstance(n, np.ndarray) else n >= 2):
         raise InputError("n must be >= 2")
 
 
@@ -69,12 +76,12 @@ def _check_ratio(constant_ratio: float) -> None:
         raise InputError("constant_ratio must be positive and finite")
 
 
-def t_classical(n: float, p: ComplexityParams) -> float:
+def t_classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
     _check_n(n)
     return n * p.s * p.k * _log(1.0 / p.epsilon, p.log_eps_base)
 
 
-def t_quantum(n: float, p: ComplexityParams) -> float:
+def t_quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
     _check_n(n)
     return _log(n, p.log_n_base) * p.s**2 * p.k**2 / p.epsilon
 
@@ -90,18 +97,24 @@ def base_speed_ratio(
     return t_classical(n, classical) / t_quantum(n, quantum)
 
 
-def _costs(
-    n: float, classical: ComplexityParams, quantum: ComplexityParams, constant_ratio: float
-) -> tuple[float, float, float]:
-    """``(n, classical cost, scaled quantum cost)``; NumericalError when a cost overflows."""
-    n = float(n)  # float arithmetic: overflow reads inf or raises, never warns
+def _costs(n, classical: ComplexityParams, quantum: ComplexityParams, constant_ratio: float):
+    """``(n, classical, scaled quantum cost)`` at a float n or over an ndarray of n.
+
+    NumericalError names the first n whose cost is not finite.
+    """
     try:
-        row = (n, t_classical(n, classical), constant_ratio * t_quantum(n, quantum))
-    except OverflowError:
-        row = (n, math.inf, math.inf)
-    if not all(map(math.isfinite, row)):
-        raise NumericalError(f"model cost at n = {n:g} is not finite")
-    return row
+        c_cost = t_classical(n, classical)
+        q_cost = constant_ratio * t_quantum(n, quantum)
+    except OverflowError:  # s**2 or k**2 of a Python float: no n is finite
+        c_cost = q_cost = n * math.inf
+    if isinstance(n, np.ndarray):
+        finite = np.isfinite(c_cost) & np.isfinite(q_cost)
+        bad = None if finite.all() else float(n[np.argmin(finite)])
+    else:
+        bad = None if math.isfinite(c_cost) and math.isfinite(q_cost) else n
+    if bad is not None:
+        raise NumericalError(f"model cost at n = {bad:g} is not finite")
+    return n, c_cost, q_cost
 
 
 def _convention(classical: ComplexityParams, quantum: ComplexityParams) -> str:
@@ -130,7 +143,7 @@ def find_crossover(
         return q_cost - c_cost
 
     lo_end, hi_end = SEARCH_RANGE
-    grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES)
+    grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES).tolist()
     samples = [_costs(n, classical, quantum, constant_ratio) for n in grid]
     values = [q_cost - c_cost for _, c_cost, q_cost in samples]
     bracket = None
@@ -172,7 +185,11 @@ def sweep(
     n_range: tuple[float, float],
     steps: int,
 ) -> list[tuple[float, float, float]]:
-    """Log-spaced cost samples (n, classical, scaled quantum); NumericalError on overflow."""
+    """Log-spaced cost samples (n, classical, scaled quantum); NumericalError on overflow.
+
+    The models run once over the grid; ``_log`` takes ``math.log`` per entry
+    so that each row keeps the bits a one-point evaluation gives.
+    """
     _check_ratio(constant_ratio)
     lo, hi = n_range
     if not (2 <= lo <= hi and math.isfinite(hi)):
@@ -180,10 +197,12 @@ def sweep(
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise InputError(f"steps must lie in [1, {MAX_SWEEP_STEPS}]")
     if steps == 1 or lo == hi:
-        grid = [lo] if steps == 1 else [lo] * steps
+        grid = np.full(steps, float(lo))
     else:
         grid = np.geomspace(lo, hi, steps)
-    return [_costs(n, classical, quantum, constant_ratio) for n in grid]
+    with np.errstate(over="ignore"):  # an overflow reads inf, which _costs rejects
+        columns = _costs(grid, classical, quantum, constant_ratio)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _sig6(value: float) -> str:
@@ -193,8 +212,13 @@ def _sig6(value: float) -> str:
 
 
 def sweep_csv(rows: list[tuple[float, float, float]]) -> str:
-    """CSV serialization: 6 significant digits, decimal notation, LF newlines."""
+    """CSV serialization: 6 significant digits, decimal notation, LF newlines.
+
+    ``%.6g`` writes the same digits as ``_sig6`` unless it switches to an
+    exponent (below 1e-4 or from 1e6 on); only such a row goes through ``_sig6``.
+    """
     lines = ["n,classical_cost,quantum_cost_scaled"]
-    for n, c_cost, q_cost in rows:
-        lines.append(f"{_sig6(n)},{_sig6(c_cost)},{_sig6(q_cost)}")
+    for row in rows:
+        line = "%.6g,%.6g,%.6g" % tuple(row)
+        lines.append(",".join(map(_sig6, row)) if "e" in line else line)
     return "\n".join(lines) + "\n"

@@ -102,6 +102,8 @@ def eigendecompose(b: np.ndarray) -> EigenDecomposition:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InputError("matrix must be square")
+    if b.size == 0:
+        raise InputError("matrix must not be empty")
     if not np.isfinite(b).all():
         raise InputError("matrix has a non-finite entry")
     if not np.abs(b - b.T).max() <= 1e-9:  # also rejects NaN
@@ -343,6 +345,8 @@ def fidelity(reference: np.ndarray, candidate: np.ndarray) -> float:
     """Squared normalized overlap of two real vectors."""
     a = np.asarray(reference, dtype=float)
     b = np.asarray(candidate, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise InputError(f"fidelity needs two vectors of one length, got {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InputError("fidelity of a non-finite vector is undefined")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

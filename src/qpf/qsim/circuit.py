@@ -119,6 +119,8 @@ class SingleQubit(Gate):
             raise InputError(f"{name} takes {n_params} params, got {len(params)}")
         if n_params:
             try:
+                if isinstance(params[0], np.complexfloating):
+                    raise TypeError  # math.isfinite would drop its imaginary part
                 finite = math.isfinite(params[0])
             except TypeError:
                 raise InputError(f"{name} angle must be a real number, "

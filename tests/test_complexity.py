@@ -101,6 +101,16 @@ class TestCostModels:
         with pytest.raises(InputError):
             t_quantum(n, QUANTUM_9BUS)
 
+    def test_ndarray_n_gives_the_point_values(self):
+        n = np.array([[2.0, 8.0], [50.0, 1e6]])
+        for model, p in ((t_classical, CLASSICAL_9BUS), (t_quantum, QUANTUM_9BUS)):
+            assert model(n, p).tolist() == [[model(v, p) for v in row] for row in n.tolist()]
+            assert model(np.array([]), p).shape == (0,)
+            with pytest.raises(InputError):
+                model(np.array([3.0, 1.99]), p)
+            with pytest.raises(InputError):
+                model(np.array([3.0, math.nan]), p)
+
     @given(p=params_strategy, n=st.floats(2.0, 1e6))
     @settings(max_examples=60, deadline=None)
     def test_costs_positive(self, p, n):
@@ -278,6 +288,17 @@ class TestSweep:
         assert classical == sorted(classical)
         assert quantum == sorted(quantum)
 
+    @pytest.mark.parametrize("base", ["2", "e", "10"])
+    def test_rows_have_the_bits_of_one_point_evaluations(self, base):
+        # sweep runs the models once over its grid; each row must still equal
+        # the scalar models at its n, bit for bit (a SIMD log can differ).
+        quantum = ComplexityParams(s=6, k=0.1, epsilon=0.37, log_n_base=base)
+        classical = ComplexityParams(s=6, k=0.1, epsilon=0.1, log_eps_base=base)
+        rows = sweep(classical, quantum, 34.0, (2.0, 1e9), 10000)
+        assert rows == [(n, t_classical(n, classical), 34.0 * t_quantum(n, quantum))
+                        for n, _, _ in rows]
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
+
     def test_range_validation(self):
         with pytest.raises(InputError):
             sweep(CLASSICAL_9BUS, QUANTUM_9BUS, 34.0, (1.0, 100.0), 10)
@@ -304,3 +325,41 @@ class TestSweepCsv:
     def test_deterministic(self):
         rows = sweep(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 34.0, (10, 2000), 40)
         assert sweep_csv(rows) == sweep_csv(rows)
+
+    # Every cell against numpy's positional formatting, called per cell here.
+    @staticmethod
+    def _per_cell(rows) -> str:
+        cells = [
+            ",".join(np.format_float_positional(
+                v, precision=6, unique=False, fractional=False, trim="-") for v in row)
+            for row in rows
+        ]
+        return "\n".join(["n,classical_cost,quantum_cost_scaled", *cells]) + "\n"
+
+    EDGE_ROWS = [
+        (0.0, -0.0, 5e-324),  # signed zeros and the smallest subnormal
+        (2.2250738585072014e-308, 1e300, -1e300),
+        (1234565.0, 1234575.0, 999999.5),  # round-half-even ties, exponent range
+        (9.999995e-05, 1e-4, 999999.4),
+        (0.0009765625, 123456.5, 0.5),  # ties in plain %.6g range
+        (math.inf, -math.inf, math.nan),
+    ]
+
+    def test_edge_rows_match_per_cell(self):
+        text = sweep_csv(self.EDGE_ROWS)
+        assert text == self._per_cell(self.EDGE_ROWS)
+        assert text.splitlines()[3] == "1234560,1234580,1000000"
+
+    @given(
+        rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=12),
+        kind=st.sampled_from(["tuples", "lists", "array"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_positional_format(self, rows, kind):
+        rows = rows + self.EDGE_ROWS
+        given_rows = {
+            "tuples": rows,
+            "lists": [list(row) for row in rows],
+            "array": np.array(rows),
+        }[kind]
+        assert sweep_csv(given_rows) == self._per_cell(rows)

@@ -80,6 +80,11 @@ class TestEigendecompose:
             eigendecompose(b)
 
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(InputError, match="empty"):
+            eigendecompose(np.zeros((0, 0)))
+
+
 class TestChooseScaling:
     def test_formula(self):
         eig = eigendecompose(np.diag([0.5, 1.0]))
@@ -541,6 +546,13 @@ class TestFidelity:
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             fidelity([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("reference, candidate", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]]),
+    ])
+    def test_rejects_mismatched_shapes(self, reference, candidate):
+        with pytest.raises(InputError, match="two vectors of one length"):
+            fidelity(reference, candidate)
 
 
 class TestEpsilonFromFidelity:

@@ -215,6 +215,19 @@ def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
             _HELPERS[name](0, *params)
 
 
+@pytest.mark.parametrize("angle", [
+    np.complex128(1 + 2j), np.complex128(0.3), np.complex64(1 + 2j), np.complex64(0),
+], ids=repr)
+@pytest.mark.parametrize("make", [rz, ry, phase, lambda q, a: SingleQubit(q, None, "RZ", (a,))],
+                         ids=["rz", "ry", "phase", "SingleQubit"])
+def test_numpy_complex_angle_is_rejected_without_a_warning(make, angle):
+    # math.isfinite takes the real part of a numpy complex, with only a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"angle must be a real number, got {type(angle).__name__}"):
+            make(0, angle)
+
+
 @pytest.mark.parametrize("name, params", [
     ("H", ()), ("X", ()), ("RY", (0.3,)), ("RZ", (-1.7,)), ("P", (2.5,)), ("RZ", (0.0,)),
 ])
