@@ -2,6 +2,7 @@
 
 Classical (conjugate-gradient style):  n * s * k * log(1/eps)
 Quantum (HHL style):                   log(n) * s^2 * k^2 / eps
+at n a real >= 2 or an ndarray of them (InputError otherwise).
 
 Costs are unitless model units; the "constant_ratio" scales the quantum
 model to account for per-unit-cost differences between the technologies.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qpf.errors import InputError, NumericalError
+from qpf.errors import InputError, NumericalError, as_array, as_int, as_real
 
 _LN_BASES = {name: math.log(base) for name, base in (("2", 2.0), ("e", math.e), ("10", 10.0))}
 _math_log_each = np.vectorize(math.log, otypes=[float])
@@ -30,6 +31,8 @@ MAX_SWEEP_STEPS = 10**6  # sweep rows; each is a Python tuple
 
 @dataclass(frozen=True)
 class ComplexityParams:
+    """Reals s >= 1, k > 0, 0 < epsilon < 1 (stored as floats); log bases "2", "e" or "10"."""
+
     s: float
     k: float
     epsilon: float
@@ -37,14 +40,11 @@ class ComplexityParams:
     log_eps_base: str = "e"
 
     def __post_init__(self):
-        if not (self.s >= 1 and math.isfinite(self.s)):
-            raise InputError("sparsity s must be finite and >= 1")
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise InputError("condition parameter k must be finite and > 0")
-        if not 0 < self.epsilon < 1:
-            raise InputError("epsilon must lie in (0, 1)")
+        object.__setattr__(self, "s", as_real(self.s, "sparsity s", 1, closed=True))
+        object.__setattr__(self, "k", as_real(self.k, "condition parameter k", 0))
+        object.__setattr__(self, "epsilon", as_real(self.epsilon, "epsilon", 0, 1))
         for base in (self.log_n_base, self.log_eps_base):
-            if base not in _LN_BASES:
+            if not (isinstance(base, str) and base in _LN_BASES):
                 raise InputError(f"log base {base!r} not one of {sorted(_LN_BASES)}")
 
 
@@ -66,23 +66,21 @@ def _log(value: float | np.ndarray, base: str) -> float | np.ndarray:
     return ln / _LN_BASES[base]
 
 
-def _check_n(n: float | np.ndarray) -> None:
-    if not ((n >= 2).all() if isinstance(n, np.ndarray) else n >= 2):
+def _check_n(n: float | np.ndarray) -> float | np.ndarray:
+    if not isinstance(n, np.ndarray):
+        return as_real(n, "n", 2, closed=True)
+    if not ((n := as_array(n, "n", None)) >= 2).all():
         raise InputError("n must be >= 2")
-
-
-def _check_ratio(constant_ratio: float) -> None:
-    if not (constant_ratio > 0 and math.isfinite(constant_ratio)):
-        raise InputError("constant_ratio must be positive and finite")
+    return n
 
 
 def t_classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    _check_n(n)
+    n = _check_n(n)
     return n * p.s * p.k * _log(1.0 / p.epsilon, p.log_eps_base)
 
 
 def t_quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    _check_n(n)
+    n = _check_n(n)
     return _log(n, p.log_n_base) * p.s**2 * p.k**2 / p.epsilon
 
 
@@ -134,9 +132,9 @@ def find_crossover(
 
     Scans a log-spaced grid over [2, 1e7] for a sign change, then bisects to
     1e-6 relative tolerance.  Raises NumericalError when one model dominates
-    the whole range or a model cost is not finite.
+    the whole range or a model cost is not finite, InputError unless constant_ratio > 0.
     """
-    _check_ratio(constant_ratio)
+    constant_ratio = as_real(constant_ratio, "constant_ratio", 0)
 
     def gap(n: float) -> float:
         _, c_cost, q_cost = _costs(n, classical, quantum, constant_ratio)
@@ -187,15 +185,15 @@ def sweep(
 ) -> list[tuple[float, float, float]]:
     """Log-spaced cost samples (n, classical, scaled quantum); NumericalError on overflow.
 
+    InputError unless constant_ratio > 0, n_range is 2 <= lo <= hi < inf and steps an int.
     The models run once over the grid; ``_log`` takes ``math.log`` per entry
     so that each row keeps the bits a one-point evaluation gives.
     """
-    _check_ratio(constant_ratio)
-    lo, hi = n_range
-    if not (2 <= lo <= hi and math.isfinite(hi)):
+    constant_ratio = as_real(constant_ratio, "constant_ratio", 0)
+    bounds = as_array(n_range, "n_range bound", 1, finite=False)
+    if bounds.shape != (2,) or not 2 <= bounds[0] <= bounds[1] < math.inf:
         raise InputError("need 2 <= lo <= hi < inf")
-    if not 1 <= steps <= MAX_SWEEP_STEPS:
-        raise InputError(f"steps must lie in [1, {MAX_SWEEP_STEPS}]")
+    (lo, hi), steps = bounds.tolist(), as_int(steps, "steps", 1, MAX_SWEEP_STEPS)
     if steps == 1 or lo == hi:
         grid = np.full(steps, float(lo))
     else:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from qpf.errors import InputError, NumericalError
+from qpf.errors import InputError, NumericalError, as_array, as_real
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,19 @@ class ReducedSystem:
     """The solvable SLE B theta = p, slack removed.
 
     Row i of ``b``/``p`` belongs to bus ``bus_order[i]``; ordering is
-    ascending bus id with the slack bus dropped.
+    ascending bus id with the slack bus dropped.  InputError unless p is n >= 1
+    finite reals and b a finite real n x n matrix.
     """
 
     b: np.ndarray
     p: np.ndarray
     bus_order: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", as_array(self.p, "injection", 1))
+        object.__setattr__(self, "b", as_array(self.b, "matrix entry", 2))
+        if not len(self.p) or self.b.shape != (len(self.p),) * 2:
+            raise InputError(f"need n >= 1 injections, b n x n: got {len(self.p)}, {self.b.shape}")
 
 
 @dataclass(frozen=True)
@@ -71,18 +78,6 @@ class NetworkStats:
     eigenvalues: tuple[float, ...]
 
 
-def _field_ok(value, kind) -> bool:
-    if kind is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False  # bool is an int subclass; never accept it as a number
-    if kind is int:
-        return isinstance(value, int)
-    if kind is list:
-        return isinstance(value, list)
-    return isinstance(value, (int, float))  # generic number
-
-
 def _require_keys(obj: dict, required: dict, where: str) -> None:
     missing = set(required) - set(obj)
     unknown = set(obj) - set(required)
@@ -91,7 +86,8 @@ def _require_keys(obj: dict, required: dict, where: str) -> None:
     if unknown:
         raise InputError(f"{where}: unknown field(s) {sorted(unknown)}")
     for key, kind in required.items():
-        if not _field_ok(obj[key], kind):
+        # bool is an int subclass: only a bool field takes a bool, and only a bool
+        if (kind is bool) != isinstance(obj[key], bool) or not isinstance(obj[key], kind):
             raise InputError(f"{where}: field {key!r} has wrong type")
 
 
@@ -101,9 +97,7 @@ def network_from_dict(data: dict) -> Network:
         raise InputError("top level must be a JSON object")
     _require_keys(data, {"base_mva": (int, float), "buses": list, "branches": list},
                   "network")
-    base_mva = float(data["base_mva"])
-    if not base_mva > 0 or not np.isfinite(base_mva):
-        raise InputError("base_mva must be positive and finite")
+    base_mva = as_real(data["base_mva"], "base_mva", 0)
 
     buses = []
     for i, entry in enumerate(data["buses"]):
@@ -113,9 +107,7 @@ def network_from_dict(data: dict) -> Network:
                       f"buses[{i}]")
         if entry["id"] < 1:
             raise InputError(f"buses[{i}]: id must be a positive integer")
-        p_pu = float(entry["p_pu"])
-        if not np.isfinite(p_pu):
-            raise InputError(f"buses[{i}]: p_pu must be finite")
+        p_pu = as_real(entry["p_pu"], f"buses[{i}]: p_pu")
         buses.append(Bus(id=entry["id"], slack=entry["slack"], p_pu=p_pu))
 
     ids = [b.id for b in buses]
@@ -136,13 +128,12 @@ def network_from_dict(data: dict) -> Network:
             raise InputError(f"branches[{i}]: must be an object")
         _require_keys(entry, {"from": int, "to": int, "x_pu": (int, float)},
                       f"branches[{i}]")
-        f, t, x_pu = entry["from"], entry["to"], float(entry["x_pu"])
+        f, t = entry["from"], entry["to"]
         if f not in known or t not in known:
             raise InputError(f"branches[{i}]: unknown bus id")
         if f == t:
             raise InputError(f"branches[{i}]: self-loop at bus {f}")
-        if not x_pu > 0 or not np.isfinite(x_pu):
-            raise InputError(f"branches[{i}]: reactance must be positive")
+        x_pu = as_real(entry["x_pu"], f"branches[{i}]: reactance", 0)
         branches.append(Branch(from_bus=f, to_bus=t, x_pu=x_pu))
 
     network = Network(base_mva=base_mva, buses=tuple(buses), branches=tuple(branches))

@@ -20,12 +20,11 @@ eigendecomposition of B, and probabilities come from amplitudes, not shots.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from qpf.errors import InputError, NumericalError
+from qpf.errors import InputError, NumericalError, as_array, as_int, as_real
 from qpf.grid import ReducedSystem, solve_dc
 from qpf.qsim import (
     Circuit,
@@ -99,14 +98,13 @@ class HHLResult:
 
 
 def eigendecompose(b: np.ndarray) -> EigenDecomposition:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    """Ascending eigenpairs; InputError unless b is real, finite, square, non-empty, symmetric."""
+    b = as_array(b, "matrix entry", 2)
+    if b.shape[0] != b.shape[1]:
         raise InputError("matrix must be square")
     if b.size == 0:
         raise InputError("matrix must not be empty")
-    if not np.isfinite(b).all():
-        raise InputError("matrix has a non-finite entry")
-    if not np.abs(b - b.T).max() <= 1e-9:  # also rejects NaN
+    if not np.abs(b - b.T).max() <= 1e-9:
         raise InputError("matrix must be symmetric")
     lambdas, vectors = np.linalg.eigh(b)
     if lambdas[0] <= 0:
@@ -122,36 +120,26 @@ def choose_scaling(
 ) -> SpectralScaling:
     """t = 2 pi (M-1) / (M lambda_max) with M = 2^alpha, and c = 2 pi / (M t).
 
-    Overrides are validated against the no-wraparound invariant
-    lambda_max * t / (2 pi) <= (M-1)/M and against c <= lambda(1).
+    alpha is an int in [1, 1023], so 2^alpha is a float.  The overrides are reals: t held to
+    the no-wraparound invariant lambda_max t / (2 pi) <= (M-1)/M, c to 0 < c <= lambda(1).
     """
-    _check_alpha(alpha)
-    if alpha >= 1024:
-        raise InputError(f"alpha = {alpha} overflows a float: 2^alpha must stay below 2^1024")
+    alpha = as_int(alpha, "alpha", 1, 1023)
     m = 2**alpha
     lam_max = float(eig.lambdas[-1])
     if eig.lambdas[0] <= 0:
         raise NumericalError("non-positive eigenvalue")
-    t = 2.0 * math.pi * (m - 1) / (m * lam_max) if t_override is None else float(t_override)
-    if not 0 < t < math.inf:  # also rejects NaN
-        if t_override is None:
-            raise InputError(f"alpha = {alpha} overflows t for lambda_max = {lam_max!r}")
-        raise InputError(f"t must be positive and finite, got {t!r}")
+    t = (2.0 * math.pi * (m - 1) / (m * lam_max) if t_override is None
+         else as_real(t_override, "t", 0))
+    if not 0 < t < math.inf:  # only a computed t, as an override is checked; also rejects NaN
+        raise InputError(f"alpha = {alpha} overflows t for lambda_max = {lam_max!r}")
     if lam_max * t / (2.0 * math.pi) > (m - 1) / m + 1e-12:
         raise InputError(
             f"t = {t!r} overflows the clock: lambda_max t / 2pi = "
             f"{lam_max * t / (2 * math.pi):.6f} > (2^alpha - 1)/2^alpha"
         )
     grid1 = 2.0 * math.pi / (m * t)  # eigenvalue of clock integer 1
-    c = grid1 if c_override is None else float(c_override)
-    if not 0 < c <= grid1 * (1 + 1e-12):
-        raise InputError(f"c must lie in (0, {grid1!r}]")
+    c = as_real(grid1 if c_override is None else c_override, "c", 0, grid1 * (1 + 1e-12))
     return SpectralScaling(t=t, alpha=alpha, c=c)
-
-
-def _check_alpha(alpha) -> None:
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Integral) or alpha < 1:
-        raise InputError(f"alpha must be an int >= 1, got {alpha!r}")
 
 
 def lambda_of_clock(m_value: int, scaling: SpectralScaling) -> float:
@@ -266,32 +254,30 @@ def plan_hhl(
     """Pad the system and build its pipeline circuit.
 
     Raises InputError before any eigendecomposition or circuit build when
-    alpha is not an int >= 1 or the statevector would exceed
+    ``config.alpha`` is not an int >= 1 or the statevector would exceed
     ``MAX_STATEVECTOR_BYTES``, which a huge alpha reaches without forming 2^alpha.
 
     Returns (circuit, scaling, beta, p_norm): beta is the solution-register
     width after padding and p_norm the norm of the unpadded injections.
     """
-    b = np.asarray(system.b, dtype=float)
-    p = np.asarray(system.p, dtype=float)
-    if len(p) < 2:
+    if len(system.p) < 2:
         raise InputError("system dimension must be >= 2")
-    p_norm = float(np.linalg.norm(p))
+    p_norm = float(np.linalg.norm(system.p))
     if p_norm == 0.0:
         raise InputError("injection vector is zero; nothing to prepare")
 
-    _check_alpha(config.alpha)
-    beta = max(1, (len(p) - 1).bit_length())
-    width = beta + config.alpha + 1
+    alpha = as_int(config.alpha, "alpha", 1)
+    beta = max(1, (len(system.p) - 1).bit_length())
+    width = beta + alpha + 1
     if width > (MAX_STATEVECTOR_BYTES // 16).bit_length() - 1:
         state_bytes = 16 * 2**width if width <= 64 else f"2^{width + 4}"
         raise InputError(
             f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
             f"over the {MAX_STATEVECTOR_BYTES}-byte limit"
         )
-    b_pad, p_pad = _pad_system(b, p, beta)
+    b_pad, p_pad = _pad_system(system.b, system.p, beta)
     eig = eigendecompose(b_pad)
-    scaling = choose_scaling(eig, config.alpha, config.t_override, config.c_override)
+    scaling = choose_scaling(eig, alpha, config.t_override, config.c_override)
     return build_hhl_circuit(eig, p_pad / p_norm, scaling), scaling, beta, p_norm
 
 
@@ -342,13 +328,10 @@ def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult
 
 
 def fidelity(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Squared normalized overlap of two real vectors."""
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(candidate, dtype=float)
+    """Squared normalized overlap of two finite, nonzero real vectors of one length."""
+    a, b = (as_array(v, "vector entry", None) for v in (reference, candidate))
     if a.ndim != 1 or a.shape != b.shape:
         raise InputError(f"fidelity needs two vectors of one length, got {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("fidelity of a non-finite vector is undefined")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise InputError("fidelity of a zero vector is undefined")
@@ -357,7 +340,6 @@ def fidelity(reference: np.ndarray, candidate: np.ndarray) -> float:
 
 
 def epsilon_from_fidelity(f: float) -> float:
-    """Additive solution-error proxy sqrt(2 (1 - sqrt(f)))."""
-    if not 0.0 <= f <= 1.0:
-        raise InputError(f"fidelity {f!r} outside [0, 1]")
+    """Additive solution-error proxy sqrt(2 (1 - sqrt(f))), for a real f in [0, 1]."""
+    f = as_real(f, "fidelity", 0, 1, closed=True)
     return math.sqrt(2.0 * (1.0 - math.sqrt(f)))

@@ -8,8 +8,9 @@ row/column index.
 
 Gates are frozen dataclasses, one class per kind holding all of that kind's
 behaviour (see ``Gate``), that check themselves once, when made (distinct
-qubits, a given matrix unitary, pattern width, angle count); a Circuit is an
-ordered gate list over a fixed-width register whose ``append`` checks only the
+qubits, a given numeric matrix unitary, an int pattern that fits, the angle
+count, finite real angles); a Circuit is an ordered gate list over a
+fixed-width register whose ``append`` checks only the gate kind and the
 width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
 checked them; so every stored circuit is well-formed by construction.
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qpf.errors import InputError
+from qpf.errors import InputError, as_array, as_int, as_real
 
 UNITARY_TOL = 1e-10
+MAX_QUBITS = 58  # a complex128 state of 2^58 amplitudes, 2^62 bytes, is numpy's largest
 
 # Builders of the named 2x2 matrices (see ``_NAMED``).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -47,6 +49,7 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
     if u.shape != (dim, dim):
         raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
+    as_array(u, "matrix element", 2, complex, finite=False)  # NaN/inf fail the test below
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
         dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN
@@ -67,6 +70,8 @@ class Gate:
     is made: a named gate is unitary by construction from its checked params,
     and an inverse is the conjugate transpose of a checked matrix.  A named
     gate builds ``u`` on its first read; its checks still run when it is made.
+    Qubits are told apart by their text, equal for equal Python or numpy ints:
+    reading it cannot fail on an unhashable or huge index, as a comparison can.
     """
 
 
@@ -118,15 +123,7 @@ class SingleQubit(Gate):
         if len(params) != n_params:
             raise InputError(f"{name} takes {n_params} params, got {len(params)}")
         if n_params:
-            try:
-                if isinstance(params[0], np.complexfloating):
-                    raise TypeError  # math.isfinite would drop its imaginary part
-                finite = math.isfinite(params[0])
-            except TypeError:
-                raise InputError(f"{name} angle must be a real number, "
-                                 f"got {type(params[0]).__name__}") from None
-            if not finite:
-                raise InputError(f"non-finite {name} angle")
+            as_real(params[0], f"{name} angle")
         object.__setattr__(self, "target", target)
         if build is None:
             _check_unitary(u, 2)
@@ -170,7 +167,7 @@ class Cnot(Gate):
     target: int
 
     def __post_init__(self) -> None:
-        if self.control == self.target:
+        if str(self.control) == str(self.target):  # see Gate: text, not values
             raise InputError(f"gate reuses a qubit: {self.qubits}")
 
     @property
@@ -201,11 +198,10 @@ class ControlledUnitary(Gate):
     control_pattern: int = -1  # -1 means "all ones"
 
     def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(map(str, self.qubits))) != len(self.qubits):  # see Gate
             raise InputError(f"gate reuses a qubit: {self.qubits}")
         _check_unitary(self.u, 2 ** len(self.targets))
-        if not 0 <= self.pattern < 2 ** len(self.controls):
-            raise InputError("control pattern wider than control set")
+        as_int(self.control_pattern, "control_pattern", -1, 2 ** len(self.controls) - 1)
 
     @property
     def pattern(self) -> int:
@@ -241,19 +237,18 @@ class UniformlyControlledRy(Gate):
     angles: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(map(str, self.qubits))) != len(self.qubits):  # see Gate
             raise InputError(f"gate reuses a qubit: {self.qubits}")
+        object.__setattr__(self, "angles", as_array(self.angles, "angle", 1))
         if len(self.angles) != 2 ** len(self.controls):
             raise InputError(f"{len(self.angles)} angles for {len(self.controls)} controls")
-        if not np.isfinite(self.angles).all():
-            raise InputError("non-finite angle")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + (self.target,)
 
     def inverse(self) -> UniformlyControlledRy:
-        return UniformlyControlledRy(self.controls, self.target, -np.asarray(self.angles))
+        return UniformlyControlledRy(self.controls, self.target, -self.angles)
 
     def dump_line(self) -> str:
         cs = " ".join(map(str, self.controls))
@@ -290,18 +285,15 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise InputError("num_qubits must be >= 1")
+        self.num_qubits = as_int(self.num_qubits, "num_qubits", 1, MAX_QUBITS)
         staged, self.gates = self.gates, []
-        for g in staged:
-            self.append(g)
+        self.extend(staged)
 
     def append(self, gate: Gate) -> None:
+        if not isinstance(gate, (SingleQubit, Cnot, ControlledUnitary, UniformlyControlledRy)):
+            raise InputError(f"not a gate: {type(gate).__name__}")
         for q in gate.qubits:
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
-                raise InputError(f"qubit index {q!r} is not an integer")
-            if not 0 <= q < self.num_qubits:
-                raise InputError(f"qubit {q} out of range for width {self.num_qubits}")
+            as_int(q, "qubit index", 0, self.num_qubits - 1)
         self.gates.append(gate)
 
     def extend(self, gates) -> None:

@@ -24,7 +24,6 @@ import operator
 
 import numpy as np
 
-from qpf.errors import InputError
 from qpf.qsim.circuit import (
     _X,
     Circuit,
@@ -87,10 +86,8 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
             gates.append(memo.cnot(gate.control, gate.target))
         elif isinstance(gate, UniformlyControlledRy):
             gates.extend(_lower_ucry(gate, memo))
-        elif isinstance(gate, ControlledUnitary):
+        else:  # a ControlledUnitary: Circuit.append refuses any other kind
             gates.extend(_lower_cu(gate, memo))
-        else:
-            raise InputError(f"unknown gate type {type(gate).__name__}")
     return out
 
 

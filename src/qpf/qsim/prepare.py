@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from qpf.errors import InputError
+from qpf.errors import InputError, as_array
 from qpf.qsim.circuit import Circuit, UniformlyControlledRy
 
 NORM_TOL = 1e-9
@@ -22,15 +22,13 @@ NORM_TOL = 1e-9
 def prepare_state(target: np.ndarray) -> Circuit:
     """Circuit turning |0...0> into the given real unit vector.
 
-    The input length must be a power of two >= 2 and the norm must be within
-    1e-9 of 1.  Signs are reproduced exactly; the output state carries no
-    global phase.
+    The input must be a finite real vector whose length is a power of two
+    >= 2 and whose norm is within 1e-9 of 1.  Signs are reproduced exactly;
+    the output state carries no global phase.
     """
-    v = np.asarray(target, dtype=float)
-    if v.ndim != 1 or len(v) < 2 or len(v) & (len(v) - 1):
+    v = as_array(target, "target amplitude", 1)
+    if len(v) < 2 or len(v) & (len(v) - 1):
         raise InputError("target length must be a power of two >= 2")
-    if not np.isfinite(v).all():
-        raise InputError("target has non-finite entries")
     if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
         raise InputError(f"target not normalized: |v| = {np.linalg.norm(v)!r}")
     beta = len(v).bit_length() - 1

@@ -12,14 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qpf.errors import InputError, PostSelectionError
-from qpf.qsim.circuit import Circuit, Gate
+from qpf.errors import InputError, PostSelectionError, as_array, as_int
+from qpf.qsim.circuit import MAX_QUBITS, Circuit, Gate
 
 MIN_POST_SELECT_PROB = 1e-12
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
-    state = np.zeros(2**num_qubits, dtype=complex)
+    """|0...0>; InputError unless ``num_qubits`` is an int in [0, MAX_QUBITS]."""
+    state = np.zeros(2 ** as_int(num_qubits, "num_qubits", 0, MAX_QUBITS), dtype=complex)
     state[0] = 1.0
     return state
 
@@ -36,14 +37,13 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Run every gate in order on one copy of ``state``, updated in place.
 
     The two scratch buffers are made once per call: a fresh state-sized
-    temporary per gate costs a page fault per page.
+    temporary per gate costs a page fault per page.  InputError unless
+    ``state`` is 2^n finite numbers.
     """
     n = circuit.num_qubits
-    out = np.array(state, dtype=complex)
+    out = np.array(as_array(state, "amplitude", 1, complex))
     if out.shape != (2**n,):
         raise InputError(f"state dimension {out.shape} != ({2**n},)")
-    if not np.isfinite(out).all():
-        raise InputError("state has a non-finite amplitude")
     psi = out.reshape([2] * n)
     gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:
@@ -73,16 +73,16 @@ def post_select(state: np.ndarray, qubit: int, outcome: int) -> PostSelection:
     """Condition on ``qubit`` measuring ``outcome``.
 
     Returns the renormalized collapsed state (full width, the other branch
-    zeroed) and the pre-collapse probability of that outcome.
+    zeroed) and the pre-collapse probability of that outcome.  InputError unless
+    ``state`` is 2^n numbers, ``qubit`` an int in [0, n) and ``outcome`` 0 or 1.
     """
-    if outcome not in (0, 1):
-        raise InputError("outcome must be 0 or 1")
+    outcome = as_int(outcome, "outcome", 0, 1)
+    state = as_array(state, "amplitude", 1, complex, finite=False)
     n = len(state).bit_length() - 1
     if 2**n != len(state):
         raise InputError("state length is not a power of two")
-    if not 0 <= qubit < n:
-        raise InputError(f"qubit {qubit} out of range")
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
+    qubit = as_int(qubit, "qubit", 0, n - 1)
+    psi = state.reshape([2] * n)
     sel = [slice(None)] * n
     sel[_axis(n, qubit)] = outcome
     branch = psi[tuple(sel)]

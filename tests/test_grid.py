@@ -268,3 +268,31 @@ def test_removed_bus_pops_cleanly():
     data["branches"].append({"from": 2, "to": 3, "x_pu": 0.2})
     net = network_from_dict(data)
     assert network_stats(net).n == 2
+
+
+# (b, p): b 4 x 4 with p of length 8 used to plan a 7-qubit circuit whose
+# clock sat on the wrong qubits, and b 8 x 8 with p of length 4 to simulate
+# in full before a bare ValueError from the classical solve.
+MISMATCHED = [
+    (np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(8)), (np.diag(np.arange(1.0, 9.0)), np.ones(4)),
+    (np.ones((2, 3)), np.ones(2)), (np.eye(2), np.ones((2, 1))), (np.zeros((0, 0)), []),
+]
+
+
+@pytest.mark.parametrize("b, p", MISMATCHED, ids=["b4-p8", "b8-p4", "b2x3", "p2x1", "empty"])
+def test_reduced_system_checks_its_shapes_when_made(b, p, monkeypatch):
+    from qpf import hhl
+
+    def never(*args):
+        raise AssertionError("a circuit was built")
+
+    monkeypatch.setattr(hhl, "build_hhl_circuit", never)
+    for use in (solve_dc, lambda s: hhl.plan_hhl(s, hhl.HHLConfig(alpha=3)), hhl.run_hhl):
+        with pytest.raises(InputError, match="injections|expected a"):
+            use(ReducedSystem(b=b, p=p, bus_order=()))
+
+
+def test_reduced_system_holds_float_arrays():
+    system = ReducedSystem(b=[[2, -1], [-1, 2]], p=[1, 0], bus_order=(2, 3))
+    assert system.b.dtype == system.p.dtype == np.float64
+    np.testing.assert_allclose(solve_dc(system), [2 / 3, 1 / 3])

@@ -1,10 +1,15 @@
-"""Import rule: no module imports a private (underscore, non-dunder) name from
-another unit.
+"""Layering rules, read from the source with ``ast``.
 
-A unit is a top-level module or package under ``qpf`` (``qpf.cli``,
-``qpf.hhl``, ``qpf.grid``, ``qpf.complexity``, ``qpf.qsim``, ...).  Modules
-inside one package may share private helpers; crossing a unit boundary goes
-through public names only.
+Import rule: no module imports a private (underscore, non-dunder) name from
+another unit.  A unit is a top-level module or package under ``qpf``
+(``qpf.cli``, ``qpf.hhl``, ``qpf.grid``, ``qpf.complexity``, ``qpf.qsim``,
+...).  Modules inside one package may share private helpers; crossing a unit
+boundary goes through public names only.
+
+Finiteness rule: ``isfinite`` appears only in ``qpf/errors.py``, whose checks
+every entry point calls, and in two checks of computed output: the model
+costs in ``complexity._costs`` and the branch probability in
+``simulate.post_select``.
 """
 
 import ast
@@ -51,3 +56,44 @@ def test_rule_sees_a_cross_unit_private_import(tmp_path):
     (pkg / "qsim" / "simulate.py").write_text("from qpf.qsim.circuit import _ry_matrix\n")
     (pkg / "cli.py").write_text("import json\nfrom qpf.hhl import _pad_system, run_hhl\n")
     assert private_cross_unit_imports(pkg) == ["qpf/cli.py:2 imports qpf.hhl._pad_system"]
+
+
+# (module path under qpf, top-level function) that may test finiteness itself.
+OUTPUT_CHECKS = {("complexity.py", "_costs"), ("qsim/simulate.py", "post_select")}
+
+
+def isfinite_outside_errors(root: Path) -> list[str]:
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        if where == "errors.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name == "isfinite" and (where, owner) not in OUTPUT_CHECKS:
+                    found.append(f"qpf/{where}:{node.lineno} uses isfinite in {owner}")
+    return found
+
+
+def test_finiteness_is_checked_in_errors_only():
+    assert isfinite_outside_errors(SRC) == []
+
+
+def test_rule_sees_an_isfinite_outside_errors(tmp_path):
+    pkg = tmp_path / "qpf"
+    (pkg / "qsim").mkdir(parents=True)
+    (pkg / "errors.py").write_text("import math\nok = math.isfinite\n")
+    (pkg / "complexity.py").write_text(
+        "import math\ndef _costs(x):\n    return math.isfinite(x)\n")
+    (pkg / "qsim" / "simulate.py").write_text(
+        "from numpy import isfinite\ndef post_select(s):\n    return isfinite(s)\n")
+    (pkg / "hhl.py").write_text(
+        "import numpy as np\ndef fidelity(a):\n    return np.isfinite(a)\n")
+    assert isfinite_outside_errors(pkg) == [
+        "qpf/hhl.py:3 uses isfinite in fidelity",
+        "qpf/qsim/simulate.py:1 uses isfinite in <module>",
+    ]
