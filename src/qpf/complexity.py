@@ -74,14 +74,41 @@ def _check_n(n: float | np.ndarray) -> float | np.ndarray:
     return n
 
 
-def t_classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    n = _check_n(n)
+def _classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
     return n * p.s * p.k * _log(1.0 / p.epsilon, p.log_eps_base)
 
 
-def t_quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    n = _check_n(n)
+def _quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
     return _log(n, p.log_n_base) * p.s**2 * p.k**2 / p.epsilon
+
+
+def _finite_cost(n: float | np.ndarray, cost):
+    """``cost()`` at a float or ndarray n, or NumericalError naming the first n where a cost
+    is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            value = cost()
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy reads inf
+        value = n * math.inf
+    if isinstance(n, np.ndarray):
+        if (finite := np.isfinite(value)).all():
+            return value
+        n = n.flat[np.argmin(finite.reshape(-1, n.size).all(axis=0))]
+    elif math.isfinite(value):
+        return value
+    raise NumericalError(f"model cost at n = {n:g} is not finite")
+
+
+def t_classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
+    """n*s*k*log(1/eps); NumericalError names the first n where it is not finite."""
+    n = _check_n(n)
+    return _finite_cost(n, lambda: _classical(n, p))
+
+
+def t_quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
+    """log(n)*s^2*k^2/eps; NumericalError names the first n where it is not finite."""
+    n = _check_n(n)
+    return _finite_cost(n, lambda: _quantum(n, p))
 
 
 def base_speed_ratio(
@@ -90,29 +117,15 @@ def base_speed_ratio(
     """Classical-to-quantum model cost ratio at dimension n.
 
     This is the per-unit-cost handicap the quantum side can carry while
-    still breaking even at n.
+    still breaking even at n.  NumericalError when either cost or the ratio is not finite.
     """
-    return t_classical(n, classical) / t_quantum(n, quantum)
+    return _finite_cost(n, lambda: t_classical(n, classical) / t_quantum(n, quantum))
 
 
 def _costs(n, classical: ComplexityParams, quantum: ComplexityParams, constant_ratio: float):
-    """``(n, classical, scaled quantum cost)`` at a float n or over an ndarray of n.
-
-    NumericalError names the first n whose cost is not finite.
-    """
-    try:
-        c_cost = t_classical(n, classical)
-        q_cost = constant_ratio * t_quantum(n, quantum)
-    except OverflowError:  # s**2 or k**2 of a Python float: no n is finite
-        c_cost = q_cost = n * math.inf
-    if isinstance(n, np.ndarray):
-        finite = np.isfinite(c_cost) & np.isfinite(q_cost)
-        bad = None if finite.all() else float(n[np.argmin(finite)])
-    else:
-        bad = None if math.isfinite(c_cost) and math.isfinite(q_cost) else n
-    if bad is not None:
-        raise NumericalError(f"model cost at n = {bad:g} is not finite")
-    return n, c_cost, q_cost
+    """The columns ``(n, classical, scaled quantum cost)`` over an ndarray of n, guarded once."""
+    return (n, *_finite_cost(n, lambda: (_classical(n, classical),
+                                         constant_ratio * _quantum(n, quantum))))
 
 
 def _convention(classical: ComplexityParams, quantum: ComplexityParams) -> str:
@@ -135,44 +148,33 @@ def find_crossover(
     the whole range or a model cost is not finite, InputError unless constant_ratio > 0.
     """
     constant_ratio = as_real(constant_ratio, "constant_ratio", 0)
-
-    def gap(n: float) -> float:
-        _, c_cost, q_cost = _costs(n, classical, quantum, constant_ratio)
-        return q_cost - c_cost
-
     lo_end, hi_end = SEARCH_RANGE
-    grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES).tolist()
-    samples = [_costs(n, classical, quantum, constant_ratio) for n in grid]
-    values = [q_cost - c_cost for _, c_cost, q_cost in samples]
-    bracket = None
-    for left, right, f_left, f_right in zip(grid, grid[1:], values, values[1:]):
-        if f_left == 0.0:
-            bracket = (left, left, f_left)
-            break
-        if f_left * f_right < 0:
-            bracket = (left, right, f_left)
-            break
-    if bracket is None:
-        side = "classical" if values[0] < 0 else "quantum"
+    grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES)
+    columns = _costs(grid, classical, quantum, constant_ratio)
+    signs = np.sign(columns[2] - columns[1])  # not products of gaps, which can under- or overflow
+    starts = np.flatnonzero((signs[:-1] == 0) | (signs[:-1] * signs[1:] < 0))
+    if not starts.size:
+        side = "classical" if signs[0] < 0 else "quantum"
         raise NumericalError(
             f"no crossover in [{lo_end:g}, {hi_end:g}]: {side} model dominates"
         )
 
-    lo, hi, f_lo = bracket
+    i = int(starts[0])  # the gap is 0 at grid[i], or changes sign after it
+    lo, hi = float(grid[i]), float(grid[i + 1 if signs[i] else i])
     while hi - lo > BISECT_REL_TOL * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if f_lo * f_mid <= 0:
+        f_mid = constant_ratio * t_quantum(mid, quantum) - t_classical(mid, classical)
+        if signs[i] * f_mid <= 0:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
+            lo = mid
     n_star = 0.5 * (lo + hi)
 
     return CrossoverReport(
         n_star=float(n_star),
         constant_ratio=float(constant_ratio),
         convention=_convention(classical, quantum),
-        samples=samples,
+        samples=list(zip(*(column.tolist() for column in columns))),
     )
 
 
@@ -194,12 +196,8 @@ def sweep(
     if bounds.shape != (2,) or not 2 <= bounds[0] <= bounds[1] < math.inf:
         raise InputError("need 2 <= lo <= hi < inf")
     (lo, hi), steps = bounds.tolist(), as_int(steps, "steps", 1, MAX_SWEEP_STEPS)
-    if steps == 1 or lo == hi:
-        grid = np.full(steps, float(lo))
-    else:
-        grid = np.geomspace(lo, hi, steps)
-    with np.errstate(over="ignore"):  # an overflow reads inf, which _costs rejects
-        columns = _costs(grid, classical, quantum, constant_ratio)
+    grid = np.full(steps, lo) if lo == hi else np.geomspace(lo, hi, steps)
+    columns = _costs(grid, classical, quantum, constant_ratio)
     return list(zip(*(column.tolist() for column in columns)))
 
 

@@ -15,6 +15,7 @@ field is ignored.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -158,6 +159,8 @@ def _connected(network: Network) -> bool:
 
 
 def parse_network(text: str) -> Network:
+    if not isinstance(text, str):
+        raise InputError(f"network text must be a str, got {type(text).__name__}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -166,6 +169,8 @@ def parse_network(text: str) -> Network:
 
 
 def load_network(path: str | Path) -> Network:
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"network path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -218,9 +223,10 @@ def solve_dc(system: ReducedSystem) -> np.ndarray:
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"reduced matrix is not positive definite: {exc}") from exc
     theta = scipy.linalg.cho_solve(factor, system.p)
-    residual = np.abs(system.b @ theta - system.p).max()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or NaN, which the bound refuses
+        residual = np.abs(system.b @ theta - system.p).max()
     bound = 1e-10 * max(1.0, np.abs(system.p).max())
-    if residual > bound:
+    if not residual <= bound:
         raise NumericalError(f"solve residual {residual:.3e} exceeds {bound:.3e}")
     return theta
 

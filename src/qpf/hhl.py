@@ -214,8 +214,13 @@ def build_reciprocal_rotation(
 def build_hhl_circuit(
     eig: EigenDecomposition, p_unit: np.ndarray, scaling: SpectralScaling
 ) -> Circuit:
-    """Full pipeline circuit on alpha + beta + 1 qubits."""
-    dim = len(p_unit)
+    """Full pipeline circuit on alpha + beta + 1 qubits, for 2^beta eigenpairs.
+
+    InputError unless p_unit has one entry per eigenpair.
+    """
+    dim = len(eig.lambdas)
+    if len(p_unit) != dim:
+        raise InputError(f"p_unit has {len(p_unit)} entries for {dim} eigenpairs")
     beta = dim.bit_length() - 1
     alpha = scaling.alpha
     width = beta + alpha + 1

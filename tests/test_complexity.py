@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestCostModels:
         with pytest.raises(InputError):
             t_quantum(n, QUANTUM_9BUS)
 
+    @pytest.mark.parametrize("call, n", [
+        (lambda: t_quantum(2.0, ComplexityParams(1e200, 0.1, 0.37)), "2"),  # s**2 overflows
+        (lambda: t_classical(1e308, CLASSICAL_CONSERVATIVE), "1e+308"),
+        (lambda: t_classical(np.array([4.0, 1e308]), CLASSICAL_CONSERVATIVE), "1e+308"),
+        (lambda: base_speed_ratio(8.0, CLASSICAL_CONSERVATIVE,
+                                  ComplexityParams(1, 1e-200, 0.5)), "8"),  # k**2 is 0
+    ])
+    def test_cost_that_is_not_finite_raises_naming_n(self, call, n):
+        with pytest.raises(NumericalError, match=rf"model cost at n = {re.escape(n)} is not"):
+            call()
+
     def test_ndarray_n_gives_the_point_values(self):
         n = np.array([[2.0, 8.0], [50.0, 1e6]])
         for model, p in ((t_classical, CLASSICAL_9BUS), (t_quantum, QUANTUM_9BUS)):
@@ -190,6 +202,11 @@ class TestFindCrossover:
         assert report.constant_ratio == 34.0
         assert "log_e" in report.convention and "log_2" in report.convention
         assert len(report.samples) == 200
+        # The grid is priced in one call; each sample keeps its one-point bits.
+        assert report.samples == [
+            (n, t_classical(n, CLASSICAL_CONSERVATIVE), 34.0 * t_quantum(n, QUANTUM_CONSERVATIVE))
+            for n in np.geomspace(2.0, 1e7, 200).tolist()
+        ]
         # Sampled costs flip order exactly once, at n_star.
         below = [c < q for n, c, q in report.samples if n < report.n_star]
         above = [c > q for n, c, q in report.samples if n > report.n_star]
@@ -197,11 +214,12 @@ class TestFindCrossover:
 
     def test_each_model_runs_once_per_point(self, monkeypatch):
         seen = []
-        for name in ("t_classical", "t_quantum"):
+        for name in ("_classical", "_quantum"):  # the formulas, unguarded
             model = getattr(complexity, name)
             monkeypatch.setattr(
                 complexity, name,
-                lambda n, p, model=model, name=name: seen.append((name, n)) or model(n, p),
+                lambda n, p, model=model, name=name:
+                    seen.extend((name, v) for v in np.ravel(n).tolist()) or model(n, p),
             )
         find_crossover(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 34.0)
         assert len(seen) == len(set(seen)) > 2 * complexity.CROSSOVER_SAMPLES
@@ -231,6 +249,16 @@ class TestFindCrossover:
         ratio = base_speed_ratio(n0, classical, quantum)
         report = find_crossover(classical, quantum, ratio)
         assert report.n_star == pytest.approx(n0, rel=1e-4)
+
+    def test_crossover_whose_neighbour_gaps_multiply_to_zero(self):
+        # Costs near 1e-170: a product of neighbouring gaps underflows to 0,
+        # which must not hide the sign change.  Scaled by 1e170 the models are
+        # equal, so the crossover is where that of the unit models is.
+        tiny = find_crossover(ComplexityParams(s=1, k=1e-170, epsilon=0.5),
+                              ComplexityParams(s=1, k=1e-85, epsilon=0.5), 1.0)
+        unit = find_crossover(ComplexityParams(s=1, k=1, epsilon=0.5),
+                              ComplexityParams(s=1, k=1, epsilon=0.5), 1.0)
+        assert tiny.n_star == pytest.approx(unit.n_star, rel=1e-5)
 
     def test_no_crossover_reports_dominant_side(self):
         # Near-free quantum model: the classical cost is the dominant term

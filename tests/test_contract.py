@@ -5,8 +5,9 @@ Every array-, scalar-, index- or gate-taking name in ``qpf.__all__`` and
 arrays, mismatched lengths, NaN and +-inf, Python and numpy complex, bools,
 strings, floats for ints, numpy ints and huge ints, each must return finite
 output or raise InputError, NumericalError or PostSelectionError.  Any other
-exception, and any warning, fails.  Every other public name is exempted by
-name, with the reason.
+exception, and any warning, fails.  The rows of the cost models, ``solve_dc``
+and the network readers also draw magnitudes near the ends of the float range.
+Every other public name is exempted by name, with the reason.
 
 All cases are tiny (widths <= 10, alpha <= 4): no draw allocates more than a
 few MiB.
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import json
 import math
 import numbers
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,8 @@ from qpf import (
     epsilon_from_fidelity,
     fidelity,
     find_crossover,
+    load_network,
+    parse_network,
     plan_hhl,
     run_hhl,
     solve_dc,
@@ -107,7 +112,27 @@ UNITARIES = [
 QUBIT_TUPLES = [(), (1,), (1, 2), (2, 1), (1, 1), (0.5,), (True,), (np.int64(2),), (2**64,),
                 ("1",), (-1,), (9,)]
 
+# Magnitudes near the ends of the float range, where squares and products overflow or
+# underflow, and two systems whose Cholesky solve overflows.  Only the rows this contract
+# holds there draw them (fidelity, prepare_state, plan_hhl/run_hhl and post_select do not).
+NEAR_LIMITS = [1e308, -1e308, 1e200, 1e-300, 5e-324]
+NEAR_LIMIT_SYSTEMS = [(np.diag([1e-200, 1.0]), np.array([1e308, 1e308])),
+                      (np.diag([1e-200, 1.0]), np.array([1e200, 1e200]))]
+
+
+def _network_text(p_pu, x_pu) -> str:
+    return json.dumps({"base_mva": 100.0, "branches": [{"from": 1, "to": 2, "x_pu": x_pu}],
+                       "buses": [{"id": 1, "slack": True, "p_pu": 0.0},
+                                 {"id": 2, "slack": False, "p_pu": p_pu}]})
+
+
+TEXTS = HOSTILE + NEAR_LIMITS + [b"{}", "", "{not json", "[1, 2]", _network_text(-0.5, 0.1)] + [
+    _network_text(v, 0.1) for v in NEAR_LIMITS] + [_network_text(-0.5, v) for v in NEAR_LIMITS]
+WSCC9 = Path(qpf.__file__).parent / "data" / "wscc9.json"
+PATHS = HOSTILE + NEAR_LIMITS + [WSCC9, str(WSCC9), b"wscc9.json", "no/such/network.json"]
+
 reals = st.sampled_from(REALS)
+near_limit_reals = st.sampled_from(REALS + NEAR_LIMITS)
 indices = st.sampled_from(INDICES)
 vectors = st.sampled_from(VECTORS)
 matrices = st.sampled_from(MATRICES)
@@ -141,6 +166,7 @@ def _hhl(run, b, p, alpha, t, c):
 
 
 SYSTEMS = st.tuples(matrices, vectors)
+N_VALUES = REALS + VECTORS + NEAR_LIMITS + [np.array(NEAR_LIMITS), np.array([4.0, 1e308])]
 # Matrices have n <= 4 and alpha <= 4, so a planned circuit has at most 2 + 4 + 1 = 7 qubits.
 HHL_ARGS = st.tuples(matrices, vectors, st.sampled_from(INDICES + [4]), optional_reals,
                      optional_reals)
@@ -149,9 +175,11 @@ HHL_ARGS = st.tuples(matrices, vectors, st.sampled_from(INDICES + [4]), optional
 ROWS = {
     "ComplexityParams": (
         lambda s, k, eps, base: t_quantum(4.0, ComplexityParams(s, k, eps, base, base)),
-        st.tuples(reals, reals, reals, st.sampled_from(["2", "e", "10", "x", None, 2, ["2"]]))),
+        st.tuples(near_limit_reals, near_limit_reals, near_limit_reals,
+                  st.sampled_from(["2", "e", "10", "x", None, 2, ["2"]]))),
     "ReducedSystem": (lambda b, p: _system(b, p).p, SYSTEMS),
-    "base_speed_ratio": (lambda n: base_speed_ratio(n, SANE, QUANTUM), st.tuples(reals)),
+    "base_speed_ratio": (lambda n: base_speed_ratio(n, SANE, QUANTUM),
+                         st.tuples(near_limit_reals)),
     "build_reciprocal_rotation": (
         lambda clock, ancilla: _exercise(build_reciprocal_rotation(SCALING, clock, ancilla), 4),
         st.tuples(st.sampled_from(QUBIT_TUPLES), indices)),
@@ -160,19 +188,24 @@ ROWS = {
     "eigendecompose": (eigendecompose, st.tuples(matrices)),
     "epsilon_from_fidelity": (epsilon_from_fidelity, st.tuples(reals)),
     "fidelity": (fidelity, st.tuples(vectors, vectors)),
-    "find_crossover": (lambda ratio: find_crossover(SANE, QUANTUM, ratio), st.tuples(reals)),
+    "find_crossover": (lambda ratio: find_crossover(SANE, QUANTUM, ratio),
+                       st.tuples(near_limit_reals)),
+    "load_network": (load_network, st.tuples(st.sampled_from(PATHS))),
+    "parse_network": (parse_network, st.tuples(st.sampled_from(TEXTS))),
     "plan_hhl": (lambda *args: _hhl(plan_hhl, *args), HHL_ARGS),
     "run_hhl": (lambda *args: _hhl(run_hhl, *args), HHL_ARGS),
-    "solve_dc": (lambda b, p: solve_dc(_system(b, p)), SYSTEMS),
+    "solve_dc": (lambda b, p: solve_dc(_system(b, p)),
+                 st.one_of(SYSTEMS, st.sampled_from(NEAR_LIMIT_SYSTEMS))),
     "sweep": (
         lambda ratio, n_range, steps: sweep(SANE, QUANTUM, ratio, n_range, steps),
-        st.tuples(reals, st.sampled_from([
+        st.tuples(near_limit_reals, st.sampled_from([
             (10.0, 100.0), (2, 2), [2.0, 1e3], np.array([10.0, 20.0]), (10.0, math.inf),
+            (2.0, 1e308), (1e200, 1e300), (1e-300, 10.0),
             (math.nan, 10.0), (1.0, 5.0), (20.0, 10.0), ("a", 5.0), (10.0,), (10.0, 20.0, 30.0),
             (True, 10.0), (True, True), (10**400, 10**401), (1j, 5.0), 10.0, "ab", None,
         ]), st.sampled_from(INDICES + [10**6 + 1]))),
-    "t_classical": (lambda n: t_classical(n, SANE), st.tuples(st.sampled_from(REALS + VECTORS))),
-    "t_quantum": (lambda n: t_quantum(n, QUANTUM), st.tuples(st.sampled_from(REALS + VECTORS))),
+    "t_classical": (lambda n: t_classical(n, SANE), st.tuples(st.sampled_from(N_VALUES))),
+    "t_quantum": (lambda n: t_quantum(n, QUANTUM), st.tuples(st.sampled_from(N_VALUES))),
     # qpf.qsim
     "Circuit": (lambda width, gates: _run(Circuit(width, gates)),
                 st.tuples(indices, st.sampled_from([[], [h(0)], [x(2)], ["x"], [None]]))),
@@ -214,8 +247,6 @@ EXEMPT = {
     "build_reduced_system": "takes only a Network, checked when it was parsed",
     "network_stats": "takes only a Network, checked when it was parsed",
     "load_fixture": "takes a fixture name; test_grid.py covers unknown names",
-    "load_network": "takes a path; test_grid.py covers unreadable files",
-    "parse_network": "takes JSON text; the schema tests in test_grid.py cover it",
     "HHLConfig": "its fields are checked by plan_hhl and run_hhl (their rows draw them)",
     "EigenDecomposition": "the checked output of eigendecompose",
     "SpectralScaling": "the checked output of choose_scaling",
@@ -296,6 +327,14 @@ CASES = st.sampled_from(sorted(ROWS)).flatmap(
 @example(case=("plan_hhl", (np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(8), 3, None, None)))
 @example(case=("run_hhl", (np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(8), 3, None, None)))
 @example(case=("run_hhl", (np.diag(np.arange(1.0, 9.0)), np.ones(4), 3, None, None)))
+@example(case=("ComplexityParams", (1e200, 0.1, 0.37, "2")))
+@example(case=("t_classical", (1e308,)))
+@example(case=("t_classical", (np.array([1e308]),)))
+@example(case=("base_speed_ratio", (1e308,)))
+@example(case=("solve_dc", NEAR_LIMIT_SYSTEMS[0]))
+@example(case=("solve_dc", NEAR_LIMIT_SYSTEMS[1]))
+@example(case=("parse_network", (None,)))
+@example(case=("load_network", (None,)))
 @settings(max_examples=1500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hostile_input_gives_finite_output_or_a_qpf_error(case):
@@ -314,7 +353,8 @@ def test_every_row_runs_a_valid_call(name):
         "epsilon_from_fidelity": (0.5,), "fidelity": ([1.0, 0.0], [1.0, 1.0]),
         "find_crossover": (34.0,), "plan_hhl": ([[2, 1], [1, 3]], [3, 4], 2, None, None),
         "run_hhl": ([[2, 1], [1, 3]], [3, 4], 2, None, None),
-        "solve_dc": ([[2, 1], [1, 3]], [3, 4]),
+        "solve_dc": ([[2, 1], [1, 3]], [3, 4]), "parse_network": (_network_text(-0.5, 0.1),),
+        "load_network": (WSCC9,),
         "sweep": (34.0, (10.0, 100.0), 5), "t_classical": (np.array([4.0, 8.0]),),
         "t_quantum": (4,), "Circuit": (3, [h(0)]), "Cnot": (np.int64(0), 1),
         "ControlledUnitary": ((1,), (0,), np.eye(2), 1),

@@ -246,6 +246,13 @@ def test_load_network_roundtrip(tmp_path, wscc9):
     assert load_network(path).slack_id == 1
 
 
+@pytest.mark.parametrize("read", [parse_network, load_network])
+@pytest.mark.parametrize("arg", [None, 3, b"{}"])
+def test_readers_refuse_a_non_string(read, arg):
+    with pytest.raises(InputError, match="must be a str"):
+        read(arg)
+
+
 def test_unknown_fixture():
     with pytest.raises(InputError, match="fixture"):
         load_fixture("nosuchgrid")
@@ -258,6 +265,14 @@ def test_solve_rejects_indefinite_matrix():
         bus_order=(2, 3),
     )
     with pytest.raises(NumericalError, match="positive definite"):
+        solve_dc(system)
+
+
+@pytest.mark.parametrize("p", [1e308, 1e200])
+def test_solve_refuses_a_solution_that_is_not_finite(p):
+    # The solve overflows to NaN or inf; a NaN residual must not pass the bound.
+    system = ReducedSystem(b=np.diag([1e-200, 1.0]), p=np.array([p, p]), bus_order=(2, 3))
+    with pytest.raises(NumericalError, match="solve residual"):
         solve_dc(system)
 
 

@@ -12,6 +12,7 @@ from qpf.grid import ReducedSystem, solve_dc
 from qpf.hhl import (
     HHLConfig,
     _qft_gates,
+    build_hhl_circuit,
     build_qpe,
     build_reciprocal_rotation,
     choose_scaling,
@@ -234,6 +235,13 @@ class TestQpe:
         scaling = choose_scaling(eig, alpha=3)
         with pytest.raises(InputError, match="power of two"):
             build_qpe(eig, scaling)
+
+    def test_pipeline_refuses_a_target_of_another_size(self):
+        # Sized from p_unit, 8 eigenpairs and 4 entries put the QPE clock on
+        # qubits 3-5 and the ancilla rotation on a clock qubit.
+        eig = eigendecompose(np.diag(np.arange(1.0, 9.0)))
+        with pytest.raises(InputError, match="4 entries for 8 eigenpairs"):
+            build_hhl_circuit(eig, np.full(4, 0.5), choose_scaling(eig, 3))
 
 
 class TestReciprocalRotation:

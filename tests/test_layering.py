@@ -8,7 +8,7 @@ boundary goes through public names only.
 
 Finiteness rule: ``isfinite`` appears only in ``qpf/errors.py``, whose checks
 every entry point calls, and in two checks of computed output: the model
-costs in ``complexity._costs`` and the branch probability in
+costs in ``complexity._finite_cost`` and the branch probability in
 ``simulate.post_select``.
 """
 
@@ -59,7 +59,7 @@ def test_rule_sees_a_cross_unit_private_import(tmp_path):
 
 
 # (module path under qpf, top-level function) that may test finiteness itself.
-OUTPUT_CHECKS = {("complexity.py", "_costs"), ("qsim/simulate.py", "post_select")}
+OUTPUT_CHECKS = {("complexity.py", "_finite_cost"), ("qsim/simulate.py", "post_select")}
 
 
 def isfinite_outside_errors(root: Path) -> list[str]:
@@ -88,7 +88,7 @@ def test_rule_sees_an_isfinite_outside_errors(tmp_path):
     (pkg / "qsim").mkdir(parents=True)
     (pkg / "errors.py").write_text("import math\nok = math.isfinite\n")
     (pkg / "complexity.py").write_text(
-        "import math\ndef _costs(x):\n    return math.isfinite(x)\n")
+        "import math\ndef _finite_cost(x):\n    return math.isfinite(x)\n")
     (pkg / "qsim" / "simulate.py").write_text(
         "from numpy import isfinite\ndef post_select(s):\n    return isfinite(s)\n")
     (pkg / "hhl.py").write_text(
