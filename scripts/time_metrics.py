@@ -16,7 +16,8 @@ split into named ``SingleQubit``s and ``Cnot``s, and the number of
 ``np.linalg.eig`` calls (square-root levels) in one lowering.
 Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
 ``--repeats`` times and prints its median and minimum; the 257-bus ring is
-``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008).
+``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008),
+and the 200-bus ring of the same seed (n = 199) pads to the same 16 qubits.
 Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
 benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
 median and minimum of one cycle and the median per ``run_hhl`` call are printed.
@@ -63,6 +64,7 @@ CASES = {
 PLAN_CASES = {
     "wscc9-a5": (lambda: load_fixture("wscc9"), 5),
     "ring257-a7": (lambda: ring(257, 1008), 7),
+    "ring200-a7": (lambda: ring(200, 1008), 7),
 }
 
 

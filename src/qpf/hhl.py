@@ -13,16 +13,19 @@ the spectrum sits on clock integers the surviving amplitudes are
 proportional to B^-1 p; off-grid eigenvalues leak probability into nonzero
 clock states, which is the dominant (and here the only) fidelity loss.
 
-Everything is simulated exactly: U is exponentiated through the
-eigendecomposition of B, and probabilities come from amplitudes, not shots.
+Padding to 2^beta appends (lambda_max, unit vector) eigenpairs to the one
+eigendecomposition of the n x n B, and zeros to p.  Everything is simulated
+exactly: U is exponentiated through that eigendecomposition, and
+probabilities come from amplitudes, not shots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg
 
 from qpf.errors import InputError, NumericalError, as_array, as_int, as_real
 from qpf.grid import ReducedSystem, solve_dc
@@ -83,28 +86,21 @@ class HHLResult:
     fidelity: float
     residual_clock_leak: float
     metrics: CircuitMetrics
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "solution_unit": [float(v) for v in self.solution_unit],
-            "success_probability": self.success_probability,
-            "recovered_norm": self.recovered_norm,
-            "fidelity": self.fidelity,
-            "residual_clock_leak": self.residual_clock_leak,
-            "metrics": asdict(self.metrics),
-            "config": dict(self.config),
-        }
+        return {**asdict(self), "solution_unit": [float(v) for v in self.solution_unit]}
 
 
 def eigendecompose(b: np.ndarray) -> EigenDecomposition:
-    """Ascending eigenpairs; InputError unless b is real, finite, square, non-empty, symmetric."""
+    """Ascending eigenpairs; InputError unless b is real, finite, square, non-empty and
+    symmetric to 1e-9 of its largest |entry|."""
     b = as_array(b, "matrix entry", 2)
     if b.shape[0] != b.shape[1]:
         raise InputError("matrix must be square")
     if b.size == 0:
         raise InputError("matrix must not be empty")
-    if not np.abs(b - b.T).max() <= 1e-9:
+    if not np.abs(b - b.T).max() <= 1e-9 * np.abs(b).max():
         raise InputError("matrix must be symmetric")
     lambdas, vectors = np.linalg.eigh(b)
     if lambdas[0] <= 0:
@@ -218,61 +214,42 @@ def build_hhl_circuit(
 
     InputError unless p_unit has one entry per eigenpair.
     """
-    dim = len(eig.lambdas)
-    if len(p_unit) != dim:
-        raise InputError(f"p_unit has {len(p_unit)} entries for {dim} eigenpairs")
-    beta = dim.bit_length() - 1
-    alpha = scaling.alpha
-    width = beta + alpha + 1
-    clock = tuple(range(beta, beta + alpha))
-    ancilla = beta + alpha
-
-    circuit = Circuit(width)
-    circuit.extend(prepare_state(p_unit).gates)
+    if len(p_unit) != len(eig.lambdas):
+        raise InputError(f"p_unit has {len(p_unit)} entries for {len(eig.lambdas)} eigenpairs")
     qpe = build_qpe(eig, scaling)
-    circuit.extend(qpe.gates)
-    circuit.append(build_reciprocal_rotation(scaling, clock, ancilla))
-    circuit.extend(qpe.inverse().gates)
-    return circuit
+    ancilla = qpe.num_qubits
+    clock = tuple(range(ancilla - scaling.alpha, ancilla))
+    return Circuit(ancilla + 1, [*prepare_state(p_unit).gates, *qpe.gates,
+                                 build_reciprocal_rotation(scaling, clock, ancilla),
+                                 *qpe.inverse().gates])
 
 
 # -- execution ---------------------------------------------------------------
 
 
-def _pad_system(b: np.ndarray, p: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad p (and extend B by lambda_max blocks) up to dimension 2^beta."""
-    n = len(p)
-    dim = 2**beta
-    if dim == n:
-        return b, p
-    lam_max = float(np.linalg.eigvalsh(b)[-1])
-    b_pad = np.eye(dim) * lam_max
-    b_pad[:n, :n] = b
-    p_pad = np.zeros(dim)
-    p_pad[:n] = p
-    return b_pad, p_pad
-
-
 def plan_hhl(
     system: ReducedSystem, config: HHLConfig
 ) -> tuple[Circuit, SpectralScaling, int, float]:
-    """Pad the system and build its pipeline circuit.
+    """Pad the system to dimension 2^beta and build its pipeline circuit.
 
-    Raises InputError before any eigendecomposition or circuit build when
-    ``config.alpha`` is not an int >= 1 or the statevector would exceed
-    ``MAX_STATEVECTOR_BYTES``, which a huge alpha reaches without forming 2^alpha.
+    Padding appends 2^beta - n eigenpairs (lambda_max, unit vector) to one
+    eigendecomposition of the n x n B, and zeros to p.  Raises InputError when
+    the injection norm is zero or not finite, and before any eigendecomposition or
+    circuit build when ``config.alpha`` is not an int >= 1 or the statevector would
+    exceed ``MAX_STATEVECTOR_BYTES``, which a huge alpha reaches without forming 2^alpha.
 
     Returns (circuit, scaling, beta, p_norm): beta is the solution-register
     width after padding and p_norm the norm of the unpadded injections.
     """
-    if len(system.p) < 2:
+    n = len(system.p)
+    if n < 2:
         raise InputError("system dimension must be >= 2")
-    p_norm = float(np.linalg.norm(system.p))
+    p_norm = as_real(float(scipy.linalg.norm(system.p)), "injection norm")  # nrm2 scales
     if p_norm == 0.0:
         raise InputError("injection vector is zero; nothing to prepare")
 
     alpha = as_int(config.alpha, "alpha", 1)
-    beta = max(1, (len(system.p) - 1).bit_length())
+    beta = (n - 1).bit_length()
     width = beta + alpha + 1
     if width > (MAX_STATEVECTOR_BYTES // 16).bit_length() - 1:
         state_bytes = 16 * 2**width if width <= 64 else f"2^{width + 4}"
@@ -280,33 +257,31 @@ def plan_hhl(
             f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
             f"over the {MAX_STATEVECTOR_BYTES}-byte limit"
         )
-    b_pad, p_pad = _pad_system(system.b, system.p, beta)
-    eig = eigendecompose(b_pad)
+    eig = eigendecompose(system.b)
+    pad = 2**beta - n
+    eig = EigenDecomposition(np.pad(eig.lambdas, (0, pad), mode="edge"),
+                             scipy.linalg.block_diag(eig.vectors, np.eye(pad)))
     scaling = choose_scaling(eig, alpha, config.t_override, config.c_override)
-    return build_hhl_circuit(eig, p_pad / p_norm, scaling), scaling, beta, p_norm
+    p_unit = np.pad(system.p, (0, pad)) / p_norm
+    return build_hhl_circuit(eig, p_unit, scaling), scaling, beta, p_norm
 
 
 def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:
     """Simulate the pipeline and score it against the classical solve."""
     circuit, scaling, beta, p_norm = plan_hhl(system, config)
-    n = len(system.p)
-    alpha = scaling.alpha
-    ancilla = beta + alpha
     state = apply_circuit(zero_state(circuit.num_qubits), circuit)
-    selected = post_select(state, ancilla, 1)
+    selected = post_select(state, circuit.num_qubits - 1, 1)
 
     # Solution amplitudes live at clock = 0 on the ancilla-1 branch; whatever
     # mass the uncompute left on other clock values is reported as leak.
-    tensor = selected.state.reshape([2] * circuit.num_qubits)
-    block = tensor[(1,) + (0,) * alpha]  # ancilla=1 then clock bits, high first
-    amplitudes = block.reshape(-1)
+    amplitudes = selected.state.reshape(2, 2**scaling.alpha, -1)[1, 0]  # [ancilla, clock]
     kept = float(np.sum(np.abs(amplitudes) ** 2))
     leak = 1.0 - kept
 
     unit = amplitudes / math.sqrt(kept)
     pivot = unit[int(np.argmax(np.abs(unit)))]
     unit = unit * (pivot.conjugate() / abs(pivot))
-    solution = np.real(unit)[:n]
+    solution = np.real(unit)[: len(system.p)]
     solution = solution / np.linalg.norm(solution)
 
     classical = solve_dc(system)
@@ -321,7 +296,7 @@ def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult
         residual_clock_leak=float(leak),
         metrics=metrics(circuit),
         config={
-            "alpha": alpha,
+            "alpha": scaling.alpha,
             "beta": beta,
             "t": scaling.t,
             "c": scaling.c,
@@ -333,14 +308,16 @@ def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult
 
 
 def fidelity(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Squared normalized overlap of two finite, nonzero real vectors of one length."""
+    """Squared normalized overlap of two finite, nonzero real vectors of one length,
+    each first divided by its largest |entry| so that no square leaves the float range."""
     a, b = (as_array(v, "vector entry", None) for v in (reference, candidate))
     if a.ndim != 1 or a.shape != b.shape:
         raise InputError(f"fidelity needs two vectors of one length, got {a.shape} and {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    sa, sb = np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)
+    if sa == 0.0 or sb == 0.0:
         raise InputError("fidelity of a zero vector is undefined")
-    overlap = float(np.dot(a, b) / (na * nb))
+    a, b = a / sa, b / sb
+    overlap = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     return min(1.0, overlap * overlap)
 
 

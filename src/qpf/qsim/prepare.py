@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from qpf.errors import InputError, as_array
 from qpf.qsim.circuit import Circuit, UniformlyControlledRy
@@ -29,8 +30,9 @@ def prepare_state(target: np.ndarray) -> Circuit:
     v = as_array(target, "target amplitude", 1)
     if len(v) < 2 or len(v) & (len(v) - 1):
         raise InputError("target length must be a power of two >= 2")
-    if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-        raise InputError(f"target not normalized: |v| = {np.linalg.norm(v)!r}")
+    norm = scipy.linalg.norm(v)  # nrm2 scales, so no square overflows
+    if abs(norm - 1.0) > NORM_TOL:
+        raise InputError(f"target not normalized: |v| = {norm!r}")
     beta = len(v).bit_length() - 1
 
     circuit = Circuit(beta)

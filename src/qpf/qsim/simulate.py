@@ -86,7 +86,8 @@ def post_select(state: np.ndarray, qubit: int, outcome: int) -> PostSelection:
     sel = [slice(None)] * n
     sel[_axis(n, qubit)] = outcome
     branch = psi[tuple(sel)]
-    probability = float(np.sum(np.abs(branch) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing |amp|^2 is inf, refused below
+        probability = float(np.sum(np.abs(branch) ** 2))
     if not math.isfinite(probability):  # a NaN or inf amplitude in the branch
         raise InputError(f"outcome {outcome} on qubit {qubit} has non-finite "
                          f"probability {probability}")

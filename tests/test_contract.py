@@ -5,8 +5,9 @@ Every array-, scalar-, index- or gate-taking name in ``qpf.__all__`` and
 arrays, mismatched lengths, NaN and +-inf, Python and numpy complex, bools,
 strings, floats for ints, numpy ints and huge ints, each must return finite
 output or raise InputError, NumericalError or PostSelectionError.  Any other
-exception, and any warning, fails.  The rows of the cost models, ``solve_dc``
-and the network readers also draw magnitudes near the ends of the float range.
+exception, and any warning, fails.  The rows of the cost models, ``solve_dc``,
+the network readers, ``fidelity``, ``prepare_state``, ``plan_hhl``, ``run_hhl``
+and ``post_select`` also draw magnitudes near the ends of the float range.
 Every other public name is exempted by name, with the reason.
 
 All cases are tiny (widths <= 10, alpha <= 4): no draw allocates more than a
@@ -113,9 +114,12 @@ QUBIT_TUPLES = [(), (1,), (1, 2), (2, 1), (1, 1), (0.5,), (True,), (np.int64(2),
                 ("1",), (-1,), (9,)]
 
 # Magnitudes near the ends of the float range, where squares and products overflow or
-# underflow, and two systems whose Cholesky solve overflows.  Only the rows this contract
-# holds there draw them (fidelity, prepare_state, plan_hhl/run_hhl and post_select do not).
+# underflow, as scalars, vectors and spectra, and two systems whose Cholesky solve overflows.
 NEAR_LIMITS = [1e308, -1e308, 1e200, 1e-300, 5e-324]
+NEAR_LIMIT_VECTORS = [[v, v] for v in NEAR_LIMITS] + [[v, 0.0] for v in NEAR_LIMITS] + [
+    np.array(NEAR_LIMITS[:4]), np.array([1e-200, 1e-200]), np.array([1e200, 0.0], dtype=complex)]
+NEAR_LIMIT_MATRICES = [np.diag([v, 2 * v]) for v in (1e300, 1e-300, 1e-200)] + [
+    np.diag([5e-324, 1.0]), np.diag([1.0, 1e308])]
 NEAR_LIMIT_SYSTEMS = [(np.diag([1e-200, 1.0]), np.array([1e308, 1e308])),
                       (np.diag([1e-200, 1.0]), np.array([1e200, 1e200]))]
 
@@ -135,8 +139,10 @@ reals = st.sampled_from(REALS)
 near_limit_reals = st.sampled_from(REALS + NEAR_LIMITS)
 indices = st.sampled_from(INDICES)
 vectors = st.sampled_from(VECTORS)
+near_limit_vectors = st.sampled_from(VECTORS + NEAR_LIMIT_VECTORS)
 matrices = st.sampled_from(MATRICES)
 optional_reals = st.sampled_from([None] + REALS)
+optional_near_limit_reals = st.sampled_from([None] + REALS + NEAR_LIMITS)
 
 SANE = ComplexityParams(s=6.0, k=0.1, epsilon=0.1)
 QUANTUM = ComplexityParams(s=6.0, k=0.1, epsilon=0.37)
@@ -168,8 +174,9 @@ def _hhl(run, b, p, alpha, t, c):
 SYSTEMS = st.tuples(matrices, vectors)
 N_VALUES = REALS + VECTORS + NEAR_LIMITS + [np.array(NEAR_LIMITS), np.array([4.0, 1e308])]
 # Matrices have n <= 4 and alpha <= 4, so a planned circuit has at most 2 + 4 + 1 = 7 qubits.
-HHL_ARGS = st.tuples(matrices, vectors, st.sampled_from(INDICES + [4]), optional_reals,
-                     optional_reals)
+HHL_ARGS = st.tuples(st.sampled_from(MATRICES + NEAR_LIMIT_MATRICES), near_limit_vectors,
+                     st.sampled_from(INDICES + [4]), optional_near_limit_reals,
+                     optional_near_limit_reals)
 
 # name -> (call, strategy of its positional arguments)
 ROWS = {
@@ -187,7 +194,7 @@ ROWS = {
                        st.tuples(indices, optional_reals, optional_reals)),
     "eigendecompose": (eigendecompose, st.tuples(matrices)),
     "epsilon_from_fidelity": (epsilon_from_fidelity, st.tuples(reals)),
-    "fidelity": (fidelity, st.tuples(vectors, vectors)),
+    "fidelity": (fidelity, st.tuples(near_limit_vectors, near_limit_vectors)),
     "find_crossover": (lambda ratio: find_crossover(SANE, QUANTUM, ratio),
                        st.tuples(near_limit_reals)),
     "load_network": (load_network, st.tuples(st.sampled_from(PATHS))),
@@ -234,9 +241,9 @@ ROWS = {
     "phase": (lambda target, phi: _exercise(phase(target, phi)), st.tuples(indices, reals)),
     "ry": (lambda target, theta: _exercise(ry(target, theta)), st.tuples(indices, reals)),
     "rz": (lambda target, theta: _exercise(rz(target, theta)), st.tuples(indices, reals)),
-    "post_select": (post_select, st.tuples(vectors, indices, indices)),
+    "post_select": (post_select, st.tuples(near_limit_vectors, indices, indices)),
     "prepare_state": (lambda target: _run(prepare_state(target)),
-                      st.tuples(vectors)),
+                      st.tuples(near_limit_vectors)),
     "zero_state": (zero_state, st.tuples(indices)),
 }
 
@@ -333,6 +340,12 @@ CASES = st.sampled_from(sorted(ROWS)).flatmap(
 @example(case=("base_speed_ratio", (1e308,)))
 @example(case=("solve_dc", NEAR_LIMIT_SYSTEMS[0]))
 @example(case=("solve_dc", NEAR_LIMIT_SYSTEMS[1]))
+@example(case=("run_hhl", (np.diag([1e-300, 2e-300]), [1.0, 1.0], 2, None, None)))
+@example(case=("run_hhl", (np.diag([1.0, 2.0]), [1e200, 1e200], 2, None, None)))
+@example(case=("plan_hhl", (np.diag([1.0, 2.0]), [1e200, 1e200], 2, None, None)))
+@example(case=("fidelity", ([1e200, 1e200], [1, 1])))
+@example(case=("prepare_state", ([1e200, 0],)))
+@example(case=("post_select", (np.array([1e200, 1e200], dtype=complex), 0, 1)))
 @example(case=("parse_network", (None,)))
 @example(case=("load_network", (None,)))
 @settings(max_examples=1500, deadline=None, derandomize=True,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -47,6 +48,13 @@ def diag_system(lambdas, p):
     )
 
 
+def random_spd_system(rng, n):
+    """SPD system of dimension n with a generic (off clock grid) spectrum in [0.5, 5]."""
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    b = basis @ np.diag(rng.uniform(0.5, 5.0, size=n)) @ basis.T
+    return ReducedSystem(b=(b + b.T) / 2, p=rng.normal(size=n), bus_order=tuple(range(2, n + 2)))
+
+
 class TestEigendecompose:
     def test_reconstructs_matrix(self, rng):
         basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -84,6 +92,14 @@ class TestEigendecompose:
     def test_rejects_empty_matrix(self):
         with pytest.raises(InputError, match="empty"):
             eigendecompose(np.zeros((0, 0)))
+
+    def test_symmetry_is_judged_against_the_largest_entry(self):
+        # A last-bits skew of a 1e10 matrix is symmetric; a 1e-12 skew of a 1e-12 one is not.
+        eig = eigendecompose([[3e10, -1e10 * (1 + 4e-16)], [-1e10, 2e10]])
+        np.testing.assert_allclose(eig.lambdas, np.array([5 - 5**0.5, 5 + 5**0.5]) / 2 * 1e10,
+                                   rtol=1e-12)
+        with pytest.raises(InputError, match="symmetric"):
+            eigendecompose([[3e-12, -2e-12], [-1e-12, 2e-12]])
 
 
 class TestChooseScaling:
@@ -423,6 +439,63 @@ class TestRunHhl:
         with pytest.raises(PostSelectionError):
             run_hhl(system, HHLConfig(alpha=3, c_override=1e-10))
 
+    # (matrix scale, injection scale) applied to diag(1, 2) and p = (1, 1).
+    @pytest.mark.parametrize("b_scale, p_scale", [
+        (1.0, 1e-200), (1e300, 1.0), (1e-300, 1.0), (1.0, 1e200),
+    ])
+    def test_scales_near_the_float_range_change_only_the_norm(self, b_scale, p_scale):
+        base = run_hhl(diag_system([1.0, 2.0], [1.0, 1.0]), HHLConfig(alpha=2))
+        scaled = run_hhl(diag_system([b_scale, 2 * b_scale], [p_scale, p_scale]),
+                         HHLConfig(alpha=2))
+        for name in ("fidelity", "success_probability", "residual_clock_leak"):
+            assert getattr(scaled, name) == pytest.approx(getattr(base, name), abs=1e-12), name
+        np.testing.assert_allclose(scaled.solution_unit, base.solution_unit, atol=1e-12)
+        assert scaled.recovered_norm == pytest.approx(
+            base.recovered_norm * p_scale / b_scale, rel=1e-12)
+
+    def test_non_finite_injection_norm_rejected(self):
+        system = diag_system([1.0, 2.0], [1.7e308, 1.7e308])
+        with pytest.raises(InputError, match="non-finite injection norm"):
+            plan_hhl(system, HHLConfig(alpha=2))
+
+
+class TestPadding:
+    """A system of dimension n pads to 2^beta through its n x n eigendecomposition."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_one_eigh_on_the_unpadded_matrix(self, rng, monkeypatch, n):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(b):
+            shapes.append(b.shape)
+            return eigh(b)
+
+        def never(*args):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        circuit, _, beta, _ = plan_hhl(random_spd_system(rng, n), HHLConfig(alpha=2))
+        assert shapes == [(n, n)]
+        assert (beta, circuit.num_qubits) == ((n - 1).bit_length(), beta + 3)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 2), (3, 3), (5, 2), (6, 3), (7, 2)])
+    def test_matches_the_explicitly_padded_system(self, rng, n, alpha):
+        # The padded system written out: B beside a lambda_max identity block, p with zeros.
+        system = random_spd_system(rng, n)
+        dim = 2 ** (n - 1).bit_length()
+        b_pad = np.eye(dim) * np.linalg.eigvalsh(system.b)[-1]
+        b_pad[:n, :n] = system.b
+        padded = ReducedSystem(b=b_pad, p=np.pad(system.p, (0, dim - n)),
+                               bus_order=tuple(range(2, dim + 2)))
+        got = run_hhl(system, HHLConfig(alpha=alpha))
+        want = run_hhl(padded, HHLConfig(alpha=alpha))
+        assert got.metrics == want.metrics
+        for name in ("success_probability", "residual_clock_leak", "recovered_norm", "fidelity"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12), name
+        np.testing.assert_allclose(got.solution_unit, want.solution_unit[:n], atol=1e-12)
+
 
 def widen(circuit, width):
     wide = Circuit(width)
@@ -480,6 +553,12 @@ class TestWscc9Run:
         }
         assert set(data["metrics"]) == {"width", "depth", "cnot_count"}
         json.dumps(data)  # must be serializable as-is
+
+    def test_to_dict_keys_follow_the_fields_and_copy_config(self, wscc9_hhl):
+        data = wscc9_hhl.to_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(wscc9_hhl)]
+        data["config"]["alpha"] = -1
+        assert wscc9_hhl.config["alpha"] == 5
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +633,14 @@ class TestFidelity:
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             fidelity([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(InputError, match="zero vector"):
+            fidelity([], [])
+
+    def test_scales_near_the_float_range(self):
+        assert fidelity([1e-200, 0.0], [1.0, 0.0]) == 1.0
+        assert fidelity([5e-324, 0.0], [1.0, 0.0]) == 1.0
+        assert fidelity([1e200, 1e200], [1.0, 1.0]) == fidelity([1.0, 1.0], [1.0, 1.0])
+        assert fidelity([1e308, -1e308], [1.0, 1.0]) == 0.0
 
     @pytest.mark.parametrize("reference, candidate", [
         ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]]),
