@@ -225,7 +225,7 @@ def _cmd_sweep(args) -> str:
     if args.format == "json":
         return _json({
             "header": ["n", "classical_cost", "quantum_cost_scaled"],
-            "rows": [[n, c, q] for n, c, q in rows],
+            "rows": rows,
         })
     return sweep_csv(rows)
 

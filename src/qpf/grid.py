@@ -234,7 +234,7 @@ def solve_dc(system: ReducedSystem) -> np.ndarray:
 def network_stats(network: Network) -> NetworkStats:
     """System size n, row sparsity s, and spectral ratio of the reduced matrix."""
     system = build_reduced_system(network)
-    eigenvalues = np.linalg.eigvalsh(system.b)
+    eigenvalues = as_array(np.linalg.eigvalsh(system.b), "eigenvalue", 1)
     s = int(np.max(np.count_nonzero(system.b, axis=1)))
     return NetworkStats(
         n=len(system.p),

@@ -42,11 +42,7 @@ from qpf.qsim import (
     prepare_state,
     zero_state,
 )
-
-
-# Largest statevector plan_hhl builds a circuit for: 2^24 complex128
-# amplitudes (24 qubits, 256 MiB).  The benchmark's largest case has 16.
-MAX_STATEVECTOR_BYTES = 16 * 2**24
+from qpf.qsim.circuit import MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -94,15 +90,17 @@ class HHLResult:
 
 def eigendecompose(b: np.ndarray) -> EigenDecomposition:
     """Ascending eigenpairs; InputError unless b is real, finite, square, non-empty and
-    symmetric to 1e-9 of its largest |entry|."""
+    symmetric to 1e-9 of its largest |entry|, and its spectrum finite.  The halves of b
+    and b^T are compared, so that no difference overflows."""
     b = as_array(b, "matrix entry", 2)
     if b.shape[0] != b.shape[1]:
         raise InputError("matrix must be square")
     if b.size == 0:
         raise InputError("matrix must not be empty")
-    if not np.abs(b - b.T).max() <= 1e-9 * np.abs(b).max():
+    if not np.abs(b / 2 - b.T / 2).max() <= 0.5e-9 * np.abs(b).max():
         raise InputError("matrix must be symmetric")
     lambdas, vectors = np.linalg.eigh(b)
+    lambdas = as_array(lambdas, "eigenvalue", 1)
     if lambdas[0] <= 0:
         raise NumericalError(f"matrix not positive definite (lambda_min = {lambdas[0]:.3e})")
     return EigenDecomposition(lambdas=lambdas, vectors=vectors)
@@ -116,10 +114,10 @@ def choose_scaling(
 ) -> SpectralScaling:
     """t = 2 pi (M-1) / (M lambda_max) with M = 2^alpha, and c = 2 pi / (M t).
 
-    alpha is an int in [1, 1023], so 2^alpha is a float.  The overrides are reals: t held to
-    the no-wraparound invariant lambda_max t / (2 pi) <= (M-1)/M, c to 0 < c <= lambda(1).
+    alpha is an int in [1, MAX_QUBITS].  The overrides are reals: t held to the
+    no-wraparound invariant lambda_max t / (2 pi) <= (M-1)/M, c to 0 < c <= lambda(1).
     """
-    alpha = as_int(alpha, "alpha", 1, 1023)
+    alpha = as_int(alpha, "alpha", 1, MAX_QUBITS)
     m = 2**alpha
     lam_max = float(eig.lambdas[-1])
     if eig.lambdas[0] <= 0:
@@ -127,7 +125,7 @@ def choose_scaling(
     t = (2.0 * math.pi * (m - 1) / (m * lam_max) if t_override is None
          else as_real(t_override, "t", 0))
     if not 0 < t < math.inf:  # only a computed t, as an override is checked; also rejects NaN
-        raise InputError(f"alpha = {alpha} overflows t for lambda_max = {lam_max!r}")
+        raise InputError(f"lambda_max = {lam_max!r} is too small: t overflows")
     if lam_max * t / (2.0 * math.pi) > (m - 1) / m + 1e-12:
         raise InputError(
             f"t = {t!r} overflows the clock: lambda_max t / 2pi = "
@@ -235,8 +233,8 @@ def plan_hhl(
     Padding appends 2^beta - n eigenpairs (lambda_max, unit vector) to one
     eigendecomposition of the n x n B, and zeros to p.  Raises InputError when
     the injection norm is zero or not finite, and before any eigendecomposition or
-    circuit build when ``config.alpha`` is not an int >= 1 or the statevector would
-    exceed ``MAX_STATEVECTOR_BYTES``, which a huge alpha reaches without forming 2^alpha.
+    circuit build when ``config.alpha`` is not an int >= 1 or the circuit's
+    beta + alpha + 1 qubits are over ``MAX_QUBITS``.
 
     Returns (circuit, scaling, beta, p_norm): beta is the solution-register
     width after padding and p_norm the norm of the unpadded injections.
@@ -251,12 +249,8 @@ def plan_hhl(
     alpha = as_int(config.alpha, "alpha", 1)
     beta = (n - 1).bit_length()
     width = beta + alpha + 1
-    if width > (MAX_STATEVECTOR_BYTES // 16).bit_length() - 1:
-        state_bytes = 16 * 2**width if width <= 64 else f"2^{width + 4}"
-        raise InputError(
-            f"HHL circuit of {width} qubits needs a {state_bytes}-byte statevector, "
-            f"over the {MAX_STATEVECTOR_BYTES}-byte limit"
-        )
+    if width > MAX_QUBITS:
+        raise InputError(f"HHL circuit of {width} qubits is over the {MAX_QUBITS}-qubit limit")
     eig = eigendecompose(system.b)
     pad = 2**beta - n
     eig = EigenDecomposition(np.pad(eig.lambdas, (0, pad), mode="edge"),

@@ -21,7 +21,6 @@ from qpf.qsim.prepare import prepare_state
 from qpf.qsim.simulate import (
     PostSelection,
     apply_circuit,
-    apply_gate,
     post_select,
     zero_state,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "SingleQubit",
     "UniformlyControlledRy",
     "apply_circuit",
-    "apply_gate",
     "dump",
     "h",
     "is_lowered",

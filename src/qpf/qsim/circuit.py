@@ -26,7 +26,9 @@ import numpy as np
 from qpf.errors import InputError, as_array, as_int, as_real
 
 UNITARY_TOL = 1e-10
-MAX_QUBITS = 58  # a complex128 state of 2^58 amplitudes, 2^62 bytes, is numpy's largest
+# The widest register any circuit or state may have: a complex128 statevector of
+# 2^24 amplitudes is 256 MiB, and a run holds up to four.  The benchmark's widest has 16.
+MAX_QUBITS = 24
 
 # Builders of the named 2x2 matrices (see ``_NAMED``).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qpf.errors import InputError, PostSelectionError, as_array, as_int
-from qpf.qsim.circuit import MAX_QUBITS, Circuit, Gate
+from qpf.qsim.circuit import MAX_QUBITS, Circuit
 
 MIN_POST_SELECT_PROB = 1e-12
 
@@ -27,10 +27,6 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 def _axis(num_qubits: int, qubit: int) -> int:
     return num_qubits - 1 - qubit
-
-
-def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    return apply_circuit(state, Circuit(num_qubits, [gate]))
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:

@@ -328,6 +328,7 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
         assert "68 qubits" in err
+        assert "24-qubit limit" in err
         assert out == ""
 
     @pytest.mark.parametrize("alpha", ["20000", "1000000000"])
@@ -342,7 +343,19 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert f"{int(alpha) + 4} qubits" in err
+        assert "24-qubit limit" in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", [["stats"], ["metrics"], ["solve", "--method", "hhl"]])
+    def test_spectrum_past_the_float_range_is_refused(self, capsys, tmp_path, command):
+        # Susceptances of 1 / 1.2e-308 put the top eigenvalue past the float range.
+        network = {**THREE_BUS, "branches": [{**branch, "x_pu": 1.2e-308}
+                                             for branch in THREE_BUS["branches"]]}
+        path = write_network(tmp_path, network)
+        code, out, err = run_cli(capsys, *command, "--input", str(path))
+        assert code == 1
+        assert err == "error: non-finite eigenvalue\n"
+        assert "Infinity" not in out
 
     def test_invalid_network_schema(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

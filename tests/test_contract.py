@@ -6,8 +6,9 @@ arrays, mismatched lengths, NaN and +-inf, Python and numpy complex, bools,
 strings, floats for ints, numpy ints and huge ints, each must return finite
 output or raise InputError, NumericalError or PostSelectionError.  Any other
 exception, and any warning, fails.  The rows of the cost models, ``solve_dc``,
-the network readers, ``fidelity``, ``prepare_state``, ``plan_hhl``, ``run_hhl``
-and ``post_select`` also draw magnitudes near the ends of the float range.
+the network readers, ``fidelity``, ``prepare_state``, ``eigendecompose``,
+``plan_hhl``, ``run_hhl`` and ``post_select`` also draw magnitudes near the ends of
+the float range.
 Every other public name is exempted by name, with the reason.
 
 All cases are tiny (widths <= 10, alpha <= 4): no draw allocates more than a
@@ -61,7 +62,6 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     apply_circuit,
-    apply_gate,
     dump,
     h,
     metrics,
@@ -114,12 +114,14 @@ QUBIT_TUPLES = [(), (1,), (1, 2), (2, 1), (1, 1), (0.5,), (True,), (np.int64(2),
                 ("1",), (-1,), (9,)]
 
 # Magnitudes near the ends of the float range, where squares and products overflow or
-# underflow, as scalars, vectors and spectra, and two systems whose Cholesky solve overflows.
+# underflow, as scalars, vectors and spectra, matrices whose skew or spectrum overflows,
+# and two systems whose Cholesky solve overflows.
 NEAR_LIMITS = [1e308, -1e308, 1e200, 1e-300, 5e-324]
 NEAR_LIMIT_VECTORS = [[v, v] for v in NEAR_LIMITS] + [[v, 0.0] for v in NEAR_LIMITS] + [
     np.array(NEAR_LIMITS[:4]), np.array([1e-200, 1e-200]), np.array([1e200, 0.0], dtype=complex)]
 NEAR_LIMIT_MATRICES = [np.diag([v, 2 * v]) for v in (1e300, 1e-300, 1e-200)] + [
-    np.diag([5e-324, 1.0]), np.diag([1.0, 1e308])]
+    np.diag([5e-324, 1.0]), np.diag([1.0, 1e308]), np.array([[1e308, -1e308], [1e308, 1.0]]),
+    np.array([[1.5e308, 1e308], [1e308, 1.5e308]]), np.diag([1e-310, 1e-310])]
 NEAR_LIMIT_SYSTEMS = [(np.diag([1e-200, 1.0]), np.array([1e308, 1e308])),
                       (np.diag([1e-200, 1.0]), np.array([1e200, 1e200]))]
 
@@ -192,7 +194,8 @@ ROWS = {
         st.tuples(st.sampled_from(QUBIT_TUPLES), indices)),
     "choose_scaling": (lambda alpha, t, c: choose_scaling(EIG, alpha, t, c),
                        st.tuples(indices, optional_reals, optional_reals)),
-    "eigendecompose": (eigendecompose, st.tuples(matrices)),
+    "eigendecompose": (eigendecompose,
+                       st.tuples(st.sampled_from(MATRICES + NEAR_LIMIT_MATRICES))),
     "epsilon_from_fidelity": (epsilon_from_fidelity, st.tuples(reals)),
     "fidelity": (fidelity, st.tuples(near_limit_vectors, near_limit_vectors)),
     "find_crossover": (lambda ratio: find_crossover(SANE, QUANTUM, ratio),
@@ -234,8 +237,6 @@ ROWS = {
         st.tuples(st.sampled_from(QUBIT_TUPLES), indices, vectors)),
     "apply_circuit": (lambda state: apply_circuit(state, Circuit(2, [h(0), Cnot(0, 1)])),
                       st.tuples(vectors)),
-    "apply_gate": (apply_gate, st.tuples(vectors, st.sampled_from([h(0), x(1), Cnot(0, 1)]),
-                                         indices)),
     "h": (lambda target: _exercise(h(target)), st.tuples(indices)),
     "x": (lambda target: _exercise(x(target)), st.tuples(indices)),
     "phase": (lambda target, phi: _exercise(phase(target, phi)), st.tuples(indices, reals)),
@@ -348,6 +349,8 @@ CASES = st.sampled_from(sorted(ROWS)).flatmap(
 @example(case=("post_select", (np.array([1e200, 1e200], dtype=complex), 0, 1)))
 @example(case=("parse_network", (None,)))
 @example(case=("load_network", (None,)))
+@example(case=("eigendecompose", (NEAR_LIMIT_MATRICES[5],)))
+@example(case=("eigendecompose", (NEAR_LIMIT_MATRICES[6],)))
 @settings(max_examples=1500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hostile_input_gives_finite_output_or_a_qpf_error(case):
@@ -373,7 +376,7 @@ def test_every_row_runs_a_valid_call(name):
         "ControlledUnitary": ((1,), (0,), np.eye(2), 1),
         "SingleQubit": (0, None, "RZ", (np.float32(0.5),)),
         "UniformlyControlledRy": ((1,), 0, [0.1, 0.2]),
-        "apply_circuit": (np.array([1, 0, 0, 0]),), "apply_gate": (np.ones(2) / 2**0.5, h(0), 1),
+        "apply_circuit": (np.array([1, 0, 0, 0]),),
         "h": (np.uint8(1),), "x": (2,), "phase": (1, 0.25), "ry": (0, 3), "rz": (1, -1.0),
         "post_select": (np.ones(4) / 2, 1, np.int64(0)), "prepare_state": ([0.6, 0.8],),
         "zero_state": (2,),

@@ -32,6 +32,7 @@ from qpf.qsim import (
     x,
     zero_state,
 )
+from qpf.qsim.circuit import MAX_QUBITS
 
 # Stored 9-bus reference solution pair (a direct classical solve vs. a noisy
 # HHL run) used to validate the fidelity convention.
@@ -101,6 +102,18 @@ class TestEigendecompose:
         with pytest.raises(InputError, match="symmetric"):
             eigendecompose([[3e-12, -2e-12], [-1e-12, 2e-12]])
 
+    def test_skew_near_the_float_limit_is_judged_without_overflow(self):
+        # b - b^T would overflow to inf here; halves of b and b^T do not.
+        with pytest.raises(InputError, match="symmetric"):
+            eigendecompose([[1e308, -1e308], [1e308, 1.0]])
+        with pytest.raises(NumericalError, match="positive definite"):
+            eigendecompose(np.zeros((2, 2)))
+
+    def test_rejects_a_spectrum_past_the_float_range(self):
+        # Finite entries whose largest eigenvalue, 2.5e308, is not a float.
+        with pytest.raises(InputError, match="non-finite eigenvalue"):
+            eigendecompose([[1.5e308, 1e308], [1e308, 1.5e308]])
+
 
 class TestChooseScaling:
     def test_formula(self):
@@ -168,14 +181,19 @@ class TestChooseScaling:
         with pytest.raises(InputError, match="c must lie"):
             choose_scaling(eig, alpha=3, c_override=0.0)
 
+    def test_overflowing_t_names_lambda_max(self):
+        eig = eigendecompose(np.diag([1e-310, 1e-310]))
+        with pytest.raises(InputError, match=r"^lambda_max = 1e-310 is too small: t overflows$"):
+            choose_scaling(eig, alpha=3)
+
     def test_alpha_must_be_positive(self):
         eig = eigendecompose(np.diag([0.5, 1.0]))
         with pytest.raises(InputError):
             choose_scaling(eig, alpha=0)
 
-    # (alpha, matrix): 2^alpha * lambda_max overflows on wscc9 (lambda_max
-    # ~ 53.9) from alpha = 1019, and 2 pi 2^alpha on diag(0.5, 1) at 1023.
-    BAD_ALPHAS = [(a, "diag") for a in (2.5, "3", None, 1024, 10**6)]
+    # (alpha, matrix): a clock of more than MAX_QUBITS qubits, on wscc9 and on
+    # diag(0.5, 1), is refused whatever the spectrum, as are non-ints.
+    BAD_ALPHAS = [(a, "diag") for a in (2.5, "3", None, MAX_QUBITS + 1, 1024, 10**6)]
     BAD_ALPHAS += [(a, "wscc9") for a in range(1019, 1024)] + [(1023, "diag")]
 
     @pytest.mark.parametrize("alpha, matrix", BAD_ALPHAS, ids=[
@@ -394,11 +412,12 @@ class TestRunHhl:
         def never(*args):
             raise AssertionError("built past the size budget")
 
-        monkeypatch.setattr(hhl_module, "MAX_STATEVECTOR_BYTES", 16 * 2**6)
+        monkeypatch.setattr(hhl_module, "MAX_QUBITS", 6)
         monkeypatch.setattr(hhl_module, "eigendecompose", never)
         monkeypatch.setattr(hhl_module, "build_hhl_circuit", never)
-        # wscc9 pads to beta = 3, so alpha = 3 needs 7 qubits, 2048 bytes.
-        with pytest.raises(InputError, match=r"7 qubits needs a 2048-byte statevector"):
+        # wscc9 pads to beta = 3, so alpha = 3 needs 7 qubits.
+        message = r"^HHL circuit of 7 qubits is over the 6-qubit limit$"
+        with pytest.raises(InputError, match=message):
             plan_hhl(wscc9_system, HHLConfig(alpha=3))
         monkeypatch.undo()
         assert plan_hhl(wscc9_system, HHLConfig(alpha=3))[0].num_qubits == 7
@@ -408,8 +427,9 @@ class TestRunHhl:
         with pytest.raises(InputError, match="alpha must be an int"):
             plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
 
-    # (system dimension, alpha, bytes): wscc9 (n = 8) needs no padding, and
-    # n = 3 pads to 4, which must not run an eigendecomposition either.
+    # (system dimension, alpha, bytes of the refused statevector, which the ids
+    # show): wscc9 (n = 8) needs no padding, and n = 3 pads to 4, which must not
+    # run an eigendecomposition either.
     HUGE_ALPHAS = [
         (8, 60, str(16 * 2**64)),
         (8, 61, "2^69"),
@@ -417,12 +437,10 @@ class TestRunHhl:
         (3, 10**9, "2^1000000007"),
     ]
 
-    @pytest.mark.parametrize("n, alpha, state_bytes", HUGE_ALPHAS, ids=[
+    @pytest.mark.parametrize("n, alpha", [(n, a) for n, a, _ in HUGE_ALPHAS], ids=[
         f"{a}-{s}" if n == 8 else f"n{n}-{a}-{s}" for n, a, s in HUGE_ALPHAS
     ])
-    def test_huge_alpha_is_refused_by_width(
-        self, wscc9_system, monkeypatch, n, alpha, state_bytes
-    ):
+    def test_huge_alpha_is_refused_by_width(self, wscc9_system, monkeypatch, n, alpha):
         def never(*args):
             raise AssertionError("built past the size budget")
 
@@ -430,8 +448,8 @@ class TestRunHhl:
         monkeypatch.setattr(hhl_module, "eigendecompose", never)
         monkeypatch.setattr(np.linalg, "eigvalsh", never)
         width = (n - 1).bit_length() + alpha + 1
-        message = f"{width} qubits needs a {state_bytes}-byte statevector"
-        with pytest.raises(InputError, match=re.escape(message)):
+        message = f"HHL circuit of {width} qubits is over the {MAX_QUBITS}-qubit limit"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             plan_hhl(system, HHLConfig(alpha=alpha))
 
     def test_tiny_c_starves_post_selection(self):
@@ -457,6 +475,29 @@ class TestRunHhl:
         system = diag_system([1.0, 2.0], [1.7e308, 1.7e308])
         with pytest.raises(InputError, match="non-finite injection norm"):
             plan_hhl(system, HHLConfig(alpha=2))
+
+
+def test_every_way_in_refuses_a_width_over_max_qubits(wscc9_system, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated or decomposed past the width limit")
+
+    eig = eigendecompose(np.diag([0.5, 1.0]))
+    monkeypatch.setattr(np, "zeros", never)
+    monkeypatch.setattr(hhl_module, "eigendecompose", never)
+    for too_wide in (
+        lambda: Circuit(MAX_QUBITS + 1),
+        lambda: zero_state(MAX_QUBITS + 1),
+        lambda: choose_scaling(eig, MAX_QUBITS + 1),
+        lambda: plan_hhl(wscc9_system, HHLConfig(alpha=MAX_QUBITS - 3)),  # beta = 3
+    ):
+        with pytest.raises(InputError, match=rf"\b{MAX_QUBITS}\b"):
+            too_wide()
+    assert Circuit(MAX_QUBITS).num_qubits == MAX_QUBITS
+    assert choose_scaling(eig, MAX_QUBITS).alpha == MAX_QUBITS
+    monkeypatch.undo()
+    monkeypatch.setattr(hhl_module, "build_hhl_circuit", lambda eig, p_unit, scaling: None)
+    _, scaling, beta, _ = plan_hhl(wscc9_system, HHLConfig(alpha=MAX_QUBITS - 4))
+    assert beta + scaling.alpha + 1 == MAX_QUBITS
 
 
 class TestPadding:

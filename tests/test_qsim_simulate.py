@@ -14,7 +14,6 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     apply_circuit,
-    apply_gate,
     dump,
     h,
     lower_to_basis,
@@ -38,21 +37,19 @@ def test_zero_state():
 
 
 def test_hadamard_on_qubit_zero():
-    state = apply_gate(zero_state(1), h(0), 1)
+    state = apply_circuit(zero_state(1), Circuit(1, [h(0)]))
     np.testing.assert_allclose(state, [INV_SQRT2, INV_SQRT2])
 
 
 def test_x_targets_correct_index_bit():
     # Qubit q is bit q of the basis index: X on qubit 2 of |000> gives |100>.
-    state = apply_gate(zero_state(3), x(2), 3)
+    state = apply_circuit(zero_state(3), Circuit(3, [x(2)]))
     assert state[0b100] == 1.0
     assert np.count_nonzero(state) == 1
 
 
 def test_cnot_copies_control_bit():
-    state = zero_state(2)
-    state = apply_gate(state, x(0), 2)
-    state = apply_gate(state, Cnot(control=0, target=1), 2)
+    state = apply_circuit(zero_state(2), Circuit(2, [x(0), Cnot(control=0, target=1)]))
     assert state[0b11] == 1.0
 
 
@@ -66,10 +63,10 @@ def test_controlled_unitary_fires_only_on_pattern(rng):
     u = random_unitary(rng, 2)
     gate = ControlledUnitary(controls=(0, 2), targets=(1,), u=u, control_pattern=0b01)
     # Control value is built LSB-first from controls: qubit 0 -> bit 0.
-    fire = apply_gate(zero_state(3), x(0), 3)
-    hold = apply_gate(fire, x(2), 3)  # controls read 0b11, must not fire
-    out_fire = apply_gate(fire, gate, 3)
-    out_hold = apply_gate(hold, gate, 3)
+    fire = apply_circuit(zero_state(3), Circuit(3, [x(0)]))
+    hold = apply_circuit(fire, Circuit(3, [x(2)]))  # controls read 0b11, must not fire
+    out_fire = apply_circuit(fire, Circuit(3, [gate]))
+    out_hold = apply_circuit(hold, Circuit(3, [gate]))
     np.testing.assert_allclose(out_fire[0b001], u[0, 0])
     np.testing.assert_allclose(out_fire[0b011], u[1, 0])
     np.testing.assert_allclose(out_hold, hold)
@@ -79,12 +76,12 @@ def test_ucry_selects_angle_by_control_value():
     angles = [0.0, np.pi, 0.0, 0.0]
     gate = UniformlyControlledRy(controls=(1, 2), target=0, angles=angles)
     # Controls read 0b01 (qubit 1 set, qubit 2 clear): angle pi flips target.
-    state = apply_gate(zero_state(3), x(1), 3)
-    out = apply_gate(state, gate, 3)
+    state = apply_circuit(zero_state(3), Circuit(3, [x(1)]))
+    out = apply_circuit(state, Circuit(3, [gate]))
     np.testing.assert_allclose(out[0b011], 1.0, atol=1e-15)
     # Controls read 0b10: angle 0 leaves the target alone.
-    state = apply_gate(zero_state(3), x(2), 3)
-    out = apply_gate(state, gate, 3)
+    state = apply_circuit(zero_state(3), Circuit(3, [x(2)]))
+    out = apply_circuit(state, Circuit(3, [gate]))
     np.testing.assert_allclose(out[0b100], 1.0, atol=1e-15)
 
 
@@ -122,8 +119,8 @@ def test_apply_circuit_preserves_norm(rng):
 
 
 def test_apply_circuit_rejects_wrong_length():
-    with pytest.raises(InputError):
-        apply_circuit(np.ones(3), Circuit(2))
+    with pytest.raises(InputError, match="dimension"):
+        apply_circuit(np.ones(3), Circuit(2, [x(0)]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -136,15 +133,10 @@ def test_apply_circuit_rejects_a_non_finite_state_before_any_gate(bad, monkeypat
         apply_circuit(np.array([bad, 0], dtype=complex), Circuit(1, [h(0)]))
 
 
-def test_apply_gate_rejects_out_of_range_qubit():
+def test_apply_circuit_rejects_out_of_range_qubit():
     # A qubit past the register must not wrap onto another tensor axis.
     with pytest.raises(InputError, match="range"):
-        apply_gate(zero_state(2), x(2), 2)
-
-
-def test_apply_gate_rejects_wrong_length():
-    with pytest.raises(InputError, match="dimension"):
-        apply_gate(np.ones(3), x(0), 2)
+        apply_circuit(zero_state(2), Circuit(2, [x(2)]))
 
 
 def _one_gate_of_each_kind(rng):
@@ -164,9 +156,9 @@ def test_input_state_is_left_untouched(rng, kind):
     kept = state.copy()
     state.flags.writeable = False
     want = dense_circuit(Circuit(3, [gate])) @ kept
-    for out in (apply_gate(state, gate, 3), apply_circuit(state, Circuit(3, [gate]))):
-        np.testing.assert_allclose(out, want, atol=1e-12)
-        assert not np.shares_memory(out, state)
+    out = apply_circuit(state, Circuit(3, [gate]))
+    np.testing.assert_allclose(out, want, atol=1e-12)
+    assert not np.shares_memory(out, state)
     assert state.tobytes() == kept.tobytes()
 
 
