@@ -120,7 +120,7 @@ def test_apply_circuit_preserves_norm(rng):
 
 def test_apply_circuit_rejects_wrong_length():
     with pytest.raises(InputError, match="dimension"):
-        apply_circuit(np.ones(3), Circuit(2, [x(0)]))
+        apply_circuit(np.ones(3), Circuit(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -137,6 +137,12 @@ def test_apply_circuit_rejects_out_of_range_qubit():
     # A qubit past the register must not wrap onto another tensor axis.
     with pytest.raises(InputError, match="range"):
         apply_circuit(zero_state(2), Circuit(2, [x(2)]))
+
+
+def test_apply_gate_rejects_wrong_length():
+    # A one-gate circuit checks the state's length before its gate runs.
+    with pytest.raises(InputError, match="dimension"):
+        apply_circuit(np.ones(3), Circuit(2, [x(0)]))
 
 
 def _one_gate_of_each_kind(rng):
