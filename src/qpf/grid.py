@@ -21,7 +21,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from qpf.errors import InputError, NumericalError, as_array, as_real
 
@@ -217,13 +216,23 @@ def build_reduced_system(network: Network) -> ReducedSystem:
 
 
 def solve_dc(system: ReducedSystem) -> np.ndarray:
-    """Bus voltage angles (radians) from a Cholesky solve of B theta = p."""
+    """Bus voltage angles (radians) from a Cholesky solve of B theta = p.
+
+    B = L L^T, then forward substitution for L y = p and back substitution
+    for L^T theta = y.
+    """
     try:
-        factor = scipy.linalg.cho_factor(system.b)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        low = np.linalg.cholesky(system.b)  # the only step that raises LinAlgError
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"reduced matrix is not positive definite: {exc}") from exc
-    theta = scipy.linalg.cho_solve(factor, system.p)
+    n = len(system.p)
     with np.errstate(invalid="ignore", over="ignore"):  # inf or NaN, which the bound refuses
+        y = np.empty(n)
+        for i in range(n):
+            y[i] = (system.p[i] - low[i, :i] @ y[:i]) / low[i, i]
+        theta = np.empty(n)
+        for i in reversed(range(n)):
+            theta[i] = (y[i] - low[i + 1:, i] @ theta[i + 1:]) / low[i, i]
         residual = np.abs(system.b @ theta - system.p).max()
     bound = 1e-10 * max(1.0, np.abs(system.p).max())
     if not residual <= bound:

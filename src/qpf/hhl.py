@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from qpf.errors import InputError, NumericalError, as_array, as_int, as_real
 from qpf.grid import ReducedSystem, solve_dc
@@ -242,7 +241,7 @@ def plan_hhl(
     n = len(system.p)
     if n < 2:
         raise InputError("system dimension must be >= 2")
-    p_norm = as_real(float(scipy.linalg.norm(system.p)), "injection norm")  # nrm2 scales
+    p_norm = as_real(math.hypot(*system.p.tolist()), "injection norm")  # no square overflows
     if p_norm == 0.0:
         raise InputError("injection vector is zero; nothing to prepare")
 
@@ -253,8 +252,9 @@ def plan_hhl(
         raise InputError(f"HHL circuit of {width} qubits is over the {MAX_QUBITS}-qubit limit")
     eig = eigendecompose(system.b)
     pad = 2**beta - n
-    eig = EigenDecomposition(np.pad(eig.lambdas, (0, pad), mode="edge"),
-                             scipy.linalg.block_diag(eig.vectors, np.eye(pad)))
+    vectors = np.eye(2**beta)
+    vectors[:n, :n] = eig.vectors
+    eig = EigenDecomposition(np.pad(eig.lambdas, (0, pad), mode="edge"), vectors)
     scaling = choose_scaling(eig, alpha, config.t_override, config.c_override)
     p_unit = np.pad(system.p, (0, pad)) / p_norm
     return build_hhl_circuit(eig, p_unit, scaling), scaling, beta, p_norm

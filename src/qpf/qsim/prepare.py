@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from qpf.errors import InputError, as_array
 from qpf.qsim.circuit import Circuit, UniformlyControlledRy
@@ -30,7 +29,7 @@ def prepare_state(target: np.ndarray) -> Circuit:
     v = as_array(target, "target amplitude", 1)
     if len(v) < 2 or len(v) & (len(v) - 1):
         raise InputError("target length must be a power of two >= 2")
-    norm = scipy.linalg.norm(v)  # nrm2 scales, so no square overflows
+    norm = math.hypot(*v.tolist())  # no square overflows
     if abs(norm - 1.0) > NORM_TOL:
         raise InputError(f"target not normalized: |v| = {norm!r}")
     beta = len(v).bit_length() - 1

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qpf.cli import main
 from qpf.errors import InputError, NumericalError
 from qpf.grid import (
     ReducedSystem,
@@ -274,6 +275,19 @@ def test_solve_refuses_a_solution_that_is_not_finite(p):
     system = ReducedSystem(b=np.diag([1e-200, 1.0]), p=np.array([p, p]), bus_order=(2, 3))
     with pytest.raises(NumericalError, match="solve residual"):
         solve_dc(system)
+
+
+def test_a_linalg_error_in_the_solve_is_a_numerical_error(wscc9_system, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(NumericalError, match="positive definite: planted"):
+        solve_dc(wscc9_system)
+    assert main(["solve", "--fixture", "wscc9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["numerical error: reduced matrix is not positive definite: planted"]
 
 
 def test_removed_bus_pops_cleanly():

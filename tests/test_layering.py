@@ -10,6 +10,9 @@ Finiteness rule: ``isfinite`` appears only in ``qpf/errors.py``, whose checks
 every entry point calls, and in two checks of computed output: the model
 costs in ``complexity._finite_cost`` and the branch probability in
 ``simulate.post_select``.
+
+Dependency rule: no module imports ``scipy``; numpy and the standard library
+are the library's only numerical code.  scipy serves the tests alone.
 """
 
 import ast
@@ -96,4 +99,37 @@ def test_rule_sees_an_isfinite_outside_errors(tmp_path):
     assert isfinite_outside_errors(pkg) == [
         "qpf/hhl.py:3 uses isfinite in fidelity",
         "qpf/qsim/simulate.py:1 uses isfinite in <module>",
+    ]
+
+
+def scipy_imports(root: Path) -> list[str]:
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"qpf/{where}:{node.lineno} imports {name}"
+                      for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert scipy_imports(SRC) == []
+
+
+def test_rule_sees_a_scipy_import(tmp_path):
+    pkg = tmp_path / "qpf"
+    (pkg / "qsim").mkdir(parents=True)
+    (pkg / "grid.py").write_text("import numpy as np\nimport scipy.linalg\n")
+    (pkg / "qsim" / "prepare.py").write_text(
+        "import math\ndef norm(v):\n    from scipy.linalg import norm\n    return norm(v)\n")
+    (pkg / "hhl.py").write_text("import scipyish\nfrom numpy import linalg\n")
+    assert scipy_imports(pkg) == [
+        "qpf/grid.py:2 imports scipy.linalg",
+        "qpf/qsim/prepare.py:3 imports scipy.linalg",
     ]
