@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 from qpf import __version__
 from qpf.complexity import (
+    LOG_BASES,
     ComplexityParams,
     find_crossover,
     sweep,
@@ -60,8 +61,8 @@ def _complexity_args(parser) -> None:
     parser.add_argument("--eps-quantum", type=float, default=0.37)
     parser.add_argument("--base-ratio", type=float, default=34.0,
                         help="quantum per-unit cost handicap (constant_ratio)")
-    parser.add_argument("--log-n-base", choices=["2", "e", "10"], default="2")
-    parser.add_argument("--log-eps-base", choices=["2", "e", "10"], default="e")
+    parser.add_argument("--log-n-base", choices=LOG_BASES, default="2")
+    parser.add_argument("--log-eps-base", choices=LOG_BASES, default="e")
 
 
 def build_parser() -> _Parser:

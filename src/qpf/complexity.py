@@ -20,7 +20,8 @@ import numpy as np
 
 from qpf.errors import InputError, NumericalError, as_array, as_int, as_real
 
-_LN_BASES = {name: math.log(base) for name, base in (("2", 2.0), ("e", math.e), ("10", 10.0))}
+LOG_BASES = ("2", "e", "10")  # the names a log base may take, in the order the CLI lists them
+_LN_BASES = {name: math.log(base) for name, base in zip(LOG_BASES, (2.0, math.e, 10.0))}
 _math_log_each = np.vectorize(math.log, otypes=[float])
 
 SEARCH_RANGE = (2.0, 1.0e7)

@@ -13,7 +13,9 @@ count, finite real angles); a Circuit is an ordered gate list over a
 fixed-width register whose ``append`` checks only the gate kind and the
 width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
-checked them; so every stored circuit is well-formed by construction.
+checked them; so every stored circuit is well-formed by construction.  A
+named gate builds its matrix only when ``u`` is first read, so lowering and
+counting, which never read it, build none.
 """
 
 from __future__ import annotations

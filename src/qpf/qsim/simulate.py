@@ -2,7 +2,9 @@
 
 States are flat complex ndarrays of length 2**n.  Internally a state is
 viewed as an n-dimensional [2]*n tensor; with qubit 0 the least significant
-index bit, qubit q lives on tensor axis n-1-q.
+index bit, qubit q lives on tensor axis n-1-q.  No gate is expanded into a
+dense 2^n x 2^n matrix, so a run's largest allocations are its copy of the
+state and two scratch buffers of the same size.
 """
 
 from __future__ import annotations

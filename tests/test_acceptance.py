@@ -16,10 +16,12 @@ the acceptance report.  Two checks are expected failures (strict xfail):
   the 5e-3 tolerance.  The conditioning of the system (k = 0.0169) does
   match.
 * criterion 7 (fidelity clause) — the noiseless alpha=5 simulation reaches
-  fidelity 0.85297, short of the 0.90 target; the evolution-time rule in
-  use is already the accuracy-optimal one among those satisfying the
-  documented no-wraparound invariant.  The attained value is frozen as a
-  regression constant in test_hhl.py.
+  fidelity 0.85297, short of the 0.90 target.  A longer evolution time than
+  the default t wraps lambda_max around the clock, and
+  ``test_criterion_7_no_shorter_time_scores_higher`` finds that no shorter
+  f * t (f = 0.30, 0.35, ..., 0.95) scores higher and that c does not change
+  the fidelity.  The attained value is frozen as a regression constant in
+  test_hhl.py.
 """
 
 import importlib.util
@@ -36,6 +38,7 @@ from qpf.complexity import (
     find_crossover,
     sweep,
 )
+from qpf.errors import InputError
 from qpf.grid import solve_dc
 from qpf.hhl import (
     HHLConfig,
@@ -227,6 +230,20 @@ def test_criterion_7_headline_fidelity(wscc9_hhl):
         wscc9_hhl.fidelity >= 0.90,
         f"noiseless fidelity = {wscc9_hhl.fidelity:.6f} (required >= 0.90)",
     )
+
+
+def test_criterion_7_no_shorter_time_scores_higher(wscc9_system, wscc9_hhl):
+    # The default t maps lambda_max onto the top clock code, and any longer t
+    # wraps it around; c scales every post-selected amplitude alike.
+    t, c = wscc9_hhl.config["t"], wscc9_hhl.config["c"]
+    for f in np.linspace(0.3, 1.0, 14, endpoint=False):
+        shorter = run_hhl(wscc9_system, HHLConfig(alpha=5, t_override=f * t))
+        assert shorter.fidelity < wscc9_hhl.fidelity, f
+    for divisor in (2.0, 7.0):
+        smaller_c = run_hhl(wscc9_system, HHLConfig(alpha=5, c_override=c / divisor))
+        assert smaller_c.fidelity == pytest.approx(wscc9_hhl.fidelity, abs=1e-12)
+    with pytest.raises(InputError, match="overflows the clock"):
+        run_hhl(wscc9_system, HHLConfig(alpha=5, t_override=1.01 * t))
 
 
 def test_criterion_8_simulator_correctness():

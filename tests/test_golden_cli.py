@@ -54,6 +54,8 @@ FAILURES = [
     (["crossover", "--base-ratio", "1e300"], 2,
      "numerical error: no crossover in [2, 1e+07]: quantum model dominates\n"),
     (["sweep", "--range", "10", "inf"], 1, "error: need 2 <= lo <= hi < inf\n"),
+    (["crossover", "--log-n-base", "3"], 1,
+     "error: argument --log-n-base: invalid choice: '3' (choose from '2', 'e', '10')\n"),
 ]
 
 

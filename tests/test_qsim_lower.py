@@ -224,7 +224,7 @@ def test_wscc9_lowering_takes_one_eig_per_controlled_unitary_and_level(
     wscc9_system, monkeypatch
 ):
     # The square roots of each controlled unitary's factors are taken one
-    # stacked call per chain level: 20 calls where one per root made 607.
+    # stacked call per chain level: 20 calls, not one per root.
     circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
     levels = sum(max(len(g.qubits) - 2, 0) for g in circuit.gates
                  if isinstance(g, ControlledUnitary))
