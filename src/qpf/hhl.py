@@ -15,8 +15,10 @@ clock states, which is the dominant (and here the only) fidelity loss.
 
 Padding to 2^beta appends (lambda_max, unit vector) eigenpairs to the one
 eigendecomposition of the n x n B, and zeros to p.  Everything is simulated
-exactly: U is exponentiated through that eigendecomposition, and
-probabilities come from amplitudes, not shots.
+exactly: each power U^{2^k} = V e^{i Lambda t 2^k} V^T is formed from the
+real eigenvectors V, its real and imaginary parts as the two real products
+(V cos(Lambda t 2^k)) V^T and (V sin(Lambda t 2^k)) V^T, and probabilities
+come from amplitudes, not shots.
 """
 
 from __future__ import annotations
@@ -179,10 +181,12 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
     circuit = Circuit(beta + alpha)
     for q in clock:
         circuit.append(h(q))
-    vectors = eig.vectors.astype(complex)
+    vectors = eig.vectors
     for k, q in enumerate(clock):
-        phases = np.exp(1j * eig.lambdas * scaling.t * 2**k)
-        u = (vectors * phases) @ vectors.conj().T
+        angles = eig.lambdas * scaling.t * 2**k
+        u = np.empty((dim, dim), dtype=complex)
+        u.real = (vectors * np.cos(angles)) @ vectors.T
+        u.imag = (vectors * np.sin(angles)) @ vectors.T
         circuit.append(ControlledUnitary((q,), targets, u))
     for gate in reversed(_qft_gates(clock)):
         circuit.append(gate.inverse())

@@ -37,9 +37,13 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _ry_matrix(theta: float | np.ndarray) -> np.ndarray:
+    """RY(theta); for an array of angles, the stack of their matrices."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    u = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1], u[..., 1, 0] = -s, s
+    return u
 
 
 def _rz_matrix(theta: float) -> np.ndarray:
@@ -53,9 +57,12 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
     if u.shape != (dim, dim):
         raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
-    as_array(u, "matrix element", 2, complex, finite=False)  # NaN/inf fail the test below
+    # Complex, so that an integer matrix's product cannot wrap; NaN/inf fail the test below.
+    v = as_array(u, "matrix element", 2, complex, finite=False)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
-        dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
+        gram = v.conj().T @ v
+        gram.reshape(-1)[:: dim + 1] -= 1  # minus the identity, in place
+        dev = np.abs(gram).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
 
@@ -259,8 +266,7 @@ class UniformlyControlledRy(Gate):
         return f"UCRY {self.target} [{cs}] {_fmt(self.angles)}"
 
     def controlled_form(self):
-        u = np.array([_ry_matrix(float(a)) for a in self.angles])
-        return (), 0, (self.target, *self.controls), u
+        return (), 0, (self.target, *self.controls), _ry_matrix(self.angles)
 
 
 def h(target: int) -> SingleQubit:

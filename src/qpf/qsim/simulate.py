@@ -5,6 +5,13 @@ viewed as an n-dimensional [2]*n tensor; with qubit 0 the least significant
 index bit, qubit q lives on tensor axis n-1-q.  No gate is expanded into a
 dense 2^n x 2^n matrix, so a run's largest allocations are its copy of the
 state and two scratch buffers of the same size.
+
+A gate whose ``controlled_form`` matrix is 2x2 and exactly diagonal (RZ, P,
+a QFT controlled phase) or exactly anti-diagonal (X, CNOT) runs in place on
+the two target halves of its control-sliced view: a multiply per half whose
+factor is not 1, after a swap through a scratch buffer if anti-diagonal.
+Every other gate, H included, is gathered into a scratch buffer, multiplied
+as a batched matmul into the other and scattered back.
 """
 
 from __future__ import annotations
@@ -46,12 +53,18 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:
         controls, pattern, targets, u = gate.controlled_form()
+        # Slices, not ints, keep every axis: each selection below is a view,
+        # even one that fixes all n bits.
         sel = [slice(None)] * n
         for i, c in enumerate(controls):
-            sel[_axis(n, c)] = (pattern >> i) & 1
-        # Target axes of the control-sliced view, most significant matrix bit
-        # first, moved to the front so the view reads as a (batch, row, rest) stack.
-        front = [_axis(n, t) - sum(c > t for c in controls) for t in reversed(targets)]
+            bit = (pattern >> i) & 1
+            sel[_axis(n, c)] = slice(bit, bit + 1)
+        if u.shape == (2, 2) and (u[0, 1] == 0 == u[1, 0] or u[0, 0] == 0 == u[1, 1]):
+            _apply_sparse_2x2(psi, sel, _axis(n, targets[0]), u, gathered)
+            continue
+        # Target axes, most significant matrix bit first, moved to the front
+        # so the control-sliced view reads as a (batch, row, rest) stack.
+        front = [_axis(n, t) for t in reversed(targets)]
         block = np.moveaxis(psi[tuple(sel)], front, range(len(targets)))
         x = gathered[: block.size].reshape(block.shape)
         x[...] = block
@@ -60,6 +73,31 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
         np.matmul(u, x.reshape(shape), out=y)
         block[...] = y.reshape(block.shape)
     return out
+
+
+def _apply_sparse_2x2(psi: np.ndarray, sel: list, axis: int, u: np.ndarray,
+                      scratch: np.ndarray) -> None:
+    """Apply an exactly diagonal or anti-diagonal 2x2 ``u`` in place on the
+    halves of ``psi[sel]`` where tensor ``axis`` reads 0 and 1, skipping a
+    factor of 1.  An anti-diagonal ``u`` swaps the halves through ``scratch``:
+    numpy would copy a half written straight from the other, as their memory
+    interleaves."""
+    sel[axis] = slice(0, 1)
+    low = psi[tuple(sel)]
+    sel[axis] = slice(1, 2)
+    high = psi[tuple(sel)]
+    if u[0, 0] == 0:
+        kept = scratch[: 2 * low.size].reshape(2, *low.shape)
+        kept[0] = low
+        kept[1] = high
+        sources, factors = (kept[1], kept[0]), (u[0, 1], u[1, 0])
+    else:
+        sources, factors = (low, high), (u[0, 0], u[1, 1])
+    for half, source, factor in zip((low, high), sources, factors):
+        if factor != 1:
+            np.multiply(source, factor, out=half)
+        elif source is not half:
+            half[...] = source
 
 
 class PostSelection(NamedTuple):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qpf.hhl as hhl_module
 from helpers import exact_grid_system
@@ -26,6 +27,7 @@ from qpf.hhl import (
 )
 from qpf.qsim import (
     Circuit,
+    ControlledUnitary,
     apply_circuit,
     lower_to_basis,
     prepare_state,
@@ -263,6 +265,31 @@ class TestQpe:
             0.8131786634360727, abs=1e-12
         )
         assert clock_mass[10] + clock_mass[11] >= 0.40
+
+    @staticmethod
+    def assert_evolutions_are_exponentials(gates, b, scaling):
+        # Clock bit k (qubit beta + k) controls the k-th evolution, e^{iBt 2^k}.
+        beta = len(b).bit_length() - 1
+        evolutions = [g for g in gates
+                      if isinstance(g, ControlledUnitary) and len(g.targets) == beta]
+        for k, gate in enumerate(evolutions[: scaling.alpha]):
+            assert gate.controls == (beta + k,)
+            want = expm(1j * b * scaling.t * 2**k)
+            np.testing.assert_allclose(gate.u, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64, 128, 256])
+    def test_evolutions_are_the_matrix_exponentials(self, rng, dim):
+        system = exact_grid_system(rng, dim, 5)
+        eig = eigendecompose(system.b)
+        scaling = choose_scaling(eig, alpha=5)
+        self.assert_evolutions_are_exponentials(build_qpe(eig, scaling).gates, system.b, scaling)
+
+    def test_padded_wscc9_evolutions_are_the_matrix_exponentials(self, wscc9_system):
+        circuit, scaling, beta, _ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+        n = len(wscc9_system.p)
+        padded = np.eye(2**beta) * np.linalg.eigvalsh(wscc9_system.b)[-1]
+        padded[:n, :n] = wscc9_system.b
+        self.assert_evolutions_are_exponentials(circuit.gates, padded, scaling)
 
     def test_rejects_non_power_of_two_dimension(self):
         eig = eigendecompose(np.diag([1.0, 2.0, 3.0]))

@@ -55,6 +55,21 @@ def test_closed_form_2x2_check_matches_the_dense_oracle(rng):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("dim", [2, 256])
+def test_not_unitary_message_gives_the_dense_deviation(rng, dim):
+    u = random_unitary(rng, dim) + 1e-6 * rng.normal(size=(dim, dim))
+    want = np.abs(u.conj().T @ u - np.eye(dim)).max()
+    with pytest.raises(InputError) as info:
+        _check_unitary(u, dim)
+    assert str(info.value) == f"matrix not unitary (deviation {want:.2e})"
+
+
+def test_an_integer_matrix_is_checked_without_wrapping():
+    # 129^2 = 1 mod 256: a uint8 product would read this matrix as unitary.
+    with pytest.raises(InputError, match=r"^matrix not unitary \(deviation 1.66e\+04\)"):
+        SingleQubit(0, np.array([[129, 0], [0, 129]], dtype=np.uint8))
+
+
 @pytest.mark.parametrize("u, message", [
     ([[1, 0], [0, 1]], "numpy array, got list"),
     (np.eye(3), r"matrix shape \(3, 3\), expected \(2, 2\)"),

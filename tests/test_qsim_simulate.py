@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +111,71 @@ def test_matches_dense_oracle(rng, n):
         fast = apply_circuit(state, circuit)
         slow = dense_circuit(circuit) @ state
         np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def _sparse_gates(rng, n: int) -> list:
+    """Gates whose matrix is an exact 2x2 diagonal or anti-diagonal, on each
+    qubit of an n-qubit register; the ``ControlledUnitary``s are controlled by
+    every other qubit, on patterns that are not all ones."""
+    a, b = rng.uniform(-np.pi, np.pi, size=2)
+    diag = np.diag(np.exp([1j * a, 1j * b]))
+    anti = np.array([[0, np.exp(1j * a)], [np.exp(1j * b), 0]])
+    gates = []
+    for q in range(n):
+        others = tuple(p for p in range(n) if p != q)
+        gates += [rz(q, a), phase(q, b), x(q), SingleQubit(q, np.array([[0, -1j], [1j, 0]])),
+                  SingleQubit(q, diag), SingleQubit(q, anti)]
+        if others:
+            gates.append(Cnot(others[-1], q))
+            for u in (diag, anti):
+                pattern = int(rng.integers(0, 2 ** len(others) - 1))
+                gates.append(ControlledUnitary(others, (q,), u, pattern))
+    return [gates[i] for i in rng.permutation(len(gates))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagonal_and_antidiagonal_gates_match_dense_oracle(rng, n):
+    for _ in range(4):
+        circuit = Circuit(n, _sparse_gates(rng, n))
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        fast = apply_circuit(state, circuit)
+        slow = dense_circuit(circuit) @ state
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def test_only_dense_gates_run_a_matrix_product(rng, monkeypatch):
+    sparse, dense = Circuit(3, _sparse_gates(rng, 3)), Circuit(3, [h(1)])
+
+    def matmul(*args, **kwargs):
+        raise AssertionError("a matrix product ran")
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    apply_circuit(zero_state(3), sparse)
+    with pytest.raises(AssertionError, match="matrix product"):
+        apply_circuit(zero_state(3), dense)
+
+
+def test_diagonal_and_antidiagonal_gates_allocate_no_state_sized_temporary(rng):
+    circuit, state = Circuit(16, _sparse_gates(rng, 16)), zero_state(16)
+    tracemalloc.start()
+    try:
+        apply_circuit(state, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The copy and the two scratch buffers (1 MiB each), plus numpy's fixed
+    # ufunc buffers (2 x 8192 amplitudes, 256 KiB) on a strided half; a
+    # product into a new array would add half a state, 512 KiB.
+    assert peak < 3 * state.nbytes + 3 * state.nbytes // 8
+
+
+def test_time_simulate_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "time_simulate.py"
+    done = subprocess.run([sys.executable, str(script), "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("plan_hhl + apply_circuit") == 3
 
 
 def test_apply_circuit_preserves_norm(rng):
