@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -28,6 +29,9 @@ SEARCH_RANGE = (2.0, 1.0e7)
 BISECT_REL_TOL = 1e-6
 CROSSOVER_SAMPLES = 200  # log-spaced grid points scanned for a sign change
 MAX_SWEEP_STEPS = 10**6  # sweep rows; each is a Python tuple
+CSV_CHUNK_ROWS = 256  # rows that sweep_csv formats with one `%`
+_CSV_ROW = "%.6g,%.6g,%.6g\n"
+_CSV_CHUNK = _CSV_ROW * CSV_CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -208,14 +212,36 @@ def _sig6(value: float) -> str:
     )
 
 
+def _three_values(chunk: list, start: int) -> list:
+    """``chunk`` if each row holds three values, else InputError naming the first that
+    does not, counting rows from ``start``.  Rows without ``len`` are read into tuples."""
+    try:
+        if {*map(len, chunk)} == {3}:
+            return chunk
+    except TypeError:  # a generator row, say; tuple() raises TypeError on a non-iterable one
+        chunk = [tuple(row) for row in chunk]
+    for i, row in enumerate(chunk):
+        if len(row) != 3:
+            raise InputError(f"sweep row {start + i} holds {len(row)} values, not 3")
+    return chunk
+
+
 def sweep_csv(rows: list[tuple[float, float, float]]) -> str:
     """CSV serialization: 6 significant digits, decimal notation, LF newlines.
 
-    ``%.6g`` writes the same digits as ``_sig6`` unless it switches to an
-    exponent (below 1e-4 or from 1e6 on); only such a row goes through ``_sig6``.
+    Each row must hold exactly three values (InputError names the first that does not).
+    Rows are formatted ``CSV_CHUNK_ROWS`` at a time with one ``%``.  ``%.6g`` writes the
+    same digits as ``_sig6`` unless it switches to an exponent (below 1e-4 or from 1e6
+    on); only such a line is written again through ``_sig6``.
     """
-    lines = ["n,classical_cost,quantum_cost_scaled"]
-    for row in rows:
-        line = "%.6g,%.6g,%.6g" % tuple(row)
-        lines.append(",".join(map(_sig6, row)) if "e" in line else line)
-    return "\n".join(lines) + "\n"
+    parts = ["n,classical_cost,quantum_cost_scaled\n"]
+    rows, start = iter(rows), 0
+    while chunk := _three_values(list(islice(rows, CSV_CHUNK_ROWS)), start):
+        template = _CSV_CHUNK if len(chunk) == CSV_CHUNK_ROWS else _CSV_ROW * len(chunk)
+        text = template % tuple(chain.from_iterable(chunk))
+        if "e" in text:
+            text = "".join(",".join(map(_sig6, row)) + "\n" if "e" in line else line
+                           for line, row in zip(text.splitlines(True), chunk))
+        parts.append(text)
+        start += len(chunk)
+    return "".join(parts)

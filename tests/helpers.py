@@ -182,3 +182,26 @@ def count_named_builds(monkeypatch) -> list[str]:
         if build is not None:
             monkeypatch.setitem(_NAMED, name, (n_params, counting(name, build)))
     return built
+
+
+def cnot_bound(circuit: Circuit) -> int:
+    """CNOTs of the generic lowering by closed form, gate by gate.
+
+    A ``ControlledUnitary`` with t targets and m = t + c >= 2 qubits costs
+    (2^(t-1)·(2^t·(t-1) + 1) + 1)·(4·3^(m-2) - 2): one multi-controlled
+    rotation per Givens step and one phase, each costing 4·3^(m-2) - 2 by the
+    square-root recursion (Barenco et al., PRA 52, 3457, 1995).  A
+    ``UniformlyControlledRy`` on k >= 1 controls costs 2^k, a ``Cnot`` 1 and
+    anything narrower nothing.  Exact on a dense block; a diagonal one skips
+    rotations, so on a whole circuit it is an upper bound.
+    """
+    total = 0
+    for gate in circuit.gates:
+        if isinstance(gate, Cnot):
+            total += 1
+        elif isinstance(gate, UniformlyControlledRy) and gate.controls:
+            total += 2 ** len(gate.controls)
+        elif isinstance(gate, ControlledUnitary) and len(gate.qubits) >= 2:
+            t, m = len(gate.targets), len(gate.qubits)
+            total += (2 ** (t - 1) * (2**t * (t - 1) + 1) + 1) * (4 * 3 ** (m - 2) - 2)
+    return total

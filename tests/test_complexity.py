@@ -1,5 +1,8 @@
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,16 +381,71 @@ class TestSweepCsv:
         assert text == self._per_cell(self.EDGE_ROWS)
         assert text.splitlines()[3] == "1234560,1234580,1000000"
 
-    @given(
-        rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=12),
-        kind=st.sampled_from(["tuples", "lists", "array"]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_per_cell_positional_format(self, rows, kind):
-        rows = rows + self.EDGE_ROWS
-        given_rows = {
+    @staticmethod
+    def _as_kind(rows, kind):
+        return {
             "tuples": rows,
             "lists": [list(row) for row in rows],
             "array": np.array(rows),
         }[kind]
-        assert sweep_csv(given_rows) == self._per_cell(rows)
+
+    # Drawn rows start this many plain rows in, so that some straddle a chunk edge.
+    LEADS = [0, complexity.CSV_CHUNK_ROWS - 7, complexity.CSV_CHUNK_ROWS - 1]
+
+    @given(
+        rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=12),
+        kind=st.sampled_from(["tuples", "lists", "array"]),
+        lead=st.sampled_from(LEADS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_positional_format(self, rows, kind, lead):
+        rows = [(10.5, 0.25, 3.0)] * lead + rows + self.EDGE_ROWS
+        assert sweep_csv(self._as_kind(rows, kind)) == self._per_cell(rows)
+
+    @staticmethod
+    def _plain_rows(count: int) -> list[tuple[float, float, float]]:
+        return [(10.0 + 7.25 * i, 0.0125 * i + 0.001, 1.0 / (i + 3)) for i in range(count)]
+
+    @pytest.mark.parametrize("kind", ["tuples", "lists", "array"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, complexity.CSV_CHUNK_ROWS + 37])
+    def test_chunk_edges_match_per_cell(self, kind, extra):
+        chunk = complexity.CSV_CHUNK_ROWS
+        rows = self._plain_rows(chunk + extra)
+        # exponent cells (>= 1e6, < 1e-4) on both sides of each chunk edge
+        exponent_rows = [(1234567.0, 2.5e-05, 3.0), (5e-05, 99999990.0, -1.5e-07),
+                         (0.5, 2.0, 1e300)]
+        for i, at in enumerate([chunk - 2, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]):
+            if at < len(rows):
+                rows[at] = exponent_rows[i % 3]
+        text = sweep_csv(self._as_kind(rows, kind))
+        assert text == self._per_cell(rows)
+        assert text.splitlines()[chunk - 1] == "1234570,0.000025,3"
+
+    def test_rows_from_an_iterator(self):
+        rows = self._plain_rows(complexity.CSV_CHUNK_ROWS + 3)
+        assert sweep_csv(iter(rows)) == sweep_csv(iter(row) for row in rows) == self._per_cell(rows)
+
+    @pytest.mark.parametrize(("rows", "index", "count"), [
+        ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], 0, 2),  # one flat list would read as 2 rows of 3
+        ([(1.0, 2.0, 3.0, 4.0)], 0, 4),
+        ([(1.0, 2.0)], 0, 2),
+        ([(1.0, 2.0, 3.0)] * (complexity.CSV_CHUNK_ROWS + 3) + [(1.0, 2.0, 3.0, 4.0)],
+         complexity.CSV_CHUNK_ROWS + 3, 4),
+        ([(1.0, 2.0, 3.0), iter((1.0, 2.0))], 1, 2),
+    ])
+    def test_a_row_without_three_values_is_refused(self, rows, index, count):
+        with pytest.raises(InputError, match=f"^sweep row {index} holds {count} values, not 3$"):
+            sweep_csv(rows)
+
+    @pytest.mark.parametrize("row", [("a", "b", "c"), (1.0, None, 2.0), 1.0])
+    def test_a_row_of_non_numbers_raises(self, row):
+        with pytest.raises(TypeError):
+            sweep_csv([(1.0, 2.0, 3.0), row])
+
+
+def test_time_cost_model_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "time_cost_model.py"
+    done = subprocess.run([sys.executable, str(script), "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("8 draws") == 3

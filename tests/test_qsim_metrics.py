@@ -1,8 +1,18 @@
 import pytest
 
-from helpers import asap_depth, random_circuit
+from helpers import asap_depth, cnot_bound, random_circuit, random_unitary
 from qpf.hhl import HHLConfig, plan_hhl
-from qpf.qsim import Circuit, Cnot, CircuitMetrics, h, lower_to_basis, metrics, ry, x
+from qpf.qsim import (
+    Circuit,
+    Cnot,
+    CircuitMetrics,
+    ControlledUnitary,
+    h,
+    lower_to_basis,
+    metrics,
+    ry,
+    x,
+)
 
 
 def test_empty_circuit():
@@ -79,3 +89,22 @@ def test_wscc9_alpha3_is_pinned(wscc9_system):
     circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=3))
     assert metrics(circuit) == CircuitMetrics(width=7, depth=34156, cnot_count=14108)
     assert asap_depth(lower_to_basis(circuit)) == 34156
+
+
+@pytest.mark.parametrize(("targets", "controls", "cnots"), [
+    (1, 0, 0), (1, 1, 4), (1, 2, 20),
+    (2, 0, 22), (2, 1, 110), (2, 2, 374),
+    (3, 0, 690), (3, 1, 2346), (3, 2, 7314),
+])
+def test_cnot_bound_is_exact_on_a_dense_gate(rng, targets, controls, cnots):
+    width = targets + controls
+    gate = ControlledUnitary(tuple(range(targets, width)), tuple(range(targets)),
+                             random_unitary(rng, 2**targets))
+    circuit = Circuit(width, [gate])
+    assert cnot_bound(circuit) == metrics(circuit).cnot_count == cnots
+
+
+@pytest.mark.parametrize("alpha", [3, 4, 5, 6])
+def test_cnot_bound_holds_on_wscc9_plans(wscc9_system, alpha):
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
+    assert metrics(circuit).cnot_count <= cnot_bound(circuit)
