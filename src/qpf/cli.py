@@ -226,7 +226,7 @@ def _cmd_sweep(args) -> str:
     if args.format == "json":
         return _json({
             "header": ["n", "classical_cost", "quantum_cost_scaled"],
-            "rows": rows,
+            "rows": rows.tolist(),
         })
     return sweep_csv(rows)
 

@@ -2,7 +2,8 @@
 
 Classical (conjugate-gradient style):  n * s * k * log(1/eps)
 Quantum (HHL style):                   log(n) * s^2 * k^2 / eps
-at n a real >= 2 or an ndarray of them (InputError otherwise).
+at n a real >= 2 (InputError otherwise).  ``sweep`` and ``find_crossover`` price a
+grid in one call, into an (N, 3) float array of rows (n, classical, scaled quantum).
 
 Costs are unitless model units; the "constant_ratio" scales the quantum
 model to account for per-unit-cost differences between the technologies.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -28,7 +28,7 @@ _math_log_each = np.vectorize(math.log, otypes=[float])
 SEARCH_RANGE = (2.0, 1.0e7)
 BISECT_REL_TOL = 1e-6
 CROSSOVER_SAMPLES = 200  # log-spaced grid points scanned for a sign change
-MAX_SWEEP_STEPS = 10**6  # sweep rows; each is a Python tuple
+MAX_SWEEP_STEPS = 10**6  # sweep rows
 CSV_CHUNK_ROWS = 256  # rows that sweep_csv formats with one `%`
 _CSV_ROW = "%.6g,%.6g,%.6g\n"
 _CSV_CHUNK = _CSV_ROW * CSV_CHUNK_ROWS
@@ -53,12 +53,14 @@ class ComplexityParams:
                 raise InputError(f"log base {base!r} not one of {sorted(_LN_BASES)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the samples array would raise
 class CrossoverReport:
+    """n_star, and the (200, 3) grid ``samples`` it was found on, rows as ``sweep`` gives."""
+
     n_star: float
     constant_ratio: float
     convention: str
-    samples: list[tuple[float, float, float]]
+    samples: np.ndarray
 
 
 def _log(value: float | np.ndarray, base: str) -> float | np.ndarray:
@@ -69,14 +71,6 @@ def _log(value: float | np.ndarray, base: str) -> float | np.ndarray:
     """
     ln = _math_log_each(value) if isinstance(value, np.ndarray) else math.log(value)
     return ln / _LN_BASES[base]
-
-
-def _check_n(n: float | np.ndarray) -> float | np.ndarray:
-    if not isinstance(n, np.ndarray):
-        return as_real(n, "n", 2, closed=True)
-    if not ((n := as_array(n, "n", None)) >= 2).all():
-        raise InputError("n must be >= 2")
-    return n
 
 
 def _classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
@@ -104,15 +98,15 @@ def _finite_cost(n: float | np.ndarray, cost):
     raise NumericalError(f"model cost at n = {n:g} is not finite")
 
 
-def t_classical(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    """n*s*k*log(1/eps); NumericalError names the first n where it is not finite."""
-    n = _check_n(n)
+def t_classical(n: float, p: ComplexityParams) -> float:
+    """n*s*k*log(1/eps) at a real n >= 2; NumericalError when it is not finite."""
+    n = as_real(n, "n", 2, closed=True)
     return _finite_cost(n, lambda: _classical(n, p))
 
 
-def t_quantum(n: float | np.ndarray, p: ComplexityParams) -> float | np.ndarray:
-    """log(n)*s^2*k^2/eps; NumericalError names the first n where it is not finite."""
-    n = _check_n(n)
+def t_quantum(n: float, p: ComplexityParams) -> float:
+    """log(n)*s^2*k^2/eps at a real n >= 2; NumericalError when it is not finite."""
+    n = as_real(n, "n", 2, closed=True)
     return _finite_cost(n, lambda: _quantum(n, p))
 
 
@@ -128,9 +122,9 @@ def base_speed_ratio(
 
 
 def _costs(n, classical: ComplexityParams, quantum: ComplexityParams, constant_ratio: float):
-    """The columns ``(n, classical, scaled quantum cost)`` over an ndarray of n, guarded once."""
-    return (n, *_finite_cost(n, lambda: (_classical(n, classical),
-                                         constant_ratio * _quantum(n, quantum))))
+    """The (N, 3) rows ``(n, classical, scaled quantum cost)`` over an ndarray of n, guarded."""
+    return np.column_stack((n, *_finite_cost(n, lambda: (
+        _classical(n, classical), constant_ratio * _quantum(n, quantum)))))
 
 
 def _convention(classical: ComplexityParams, quantum: ComplexityParams) -> str:
@@ -155,8 +149,8 @@ def find_crossover(
     constant_ratio = as_real(constant_ratio, "constant_ratio", 0)
     lo_end, hi_end = SEARCH_RANGE
     grid = np.geomspace(lo_end, hi_end, CROSSOVER_SAMPLES)
-    columns = _costs(grid, classical, quantum, constant_ratio)
-    signs = np.sign(columns[2] - columns[1])  # not products of gaps, which can under- or overflow
+    samples = _costs(grid, classical, quantum, constant_ratio)
+    signs = np.sign(samples[:, 2] - samples[:, 1])  # not gap products, which can over/underflow
     starts = np.flatnonzero((signs[:-1] == 0) | (signs[:-1] * signs[1:] < 0))
     if not starts.size:
         side = "classical" if signs[0] < 0 else "quantum"
@@ -179,7 +173,7 @@ def find_crossover(
         n_star=float(n_star),
         constant_ratio=float(constant_ratio),
         convention=_convention(classical, quantum),
-        samples=list(zip(*(column.tolist() for column in columns))),
+        samples=samples,
     )
 
 
@@ -189,8 +183,9 @@ def sweep(
     constant_ratio: float,
     n_range: tuple[float, float],
     steps: int,
-) -> list[tuple[float, float, float]]:
-    """Log-spaced cost samples (n, classical, scaled quantum); NumericalError on overflow.
+) -> np.ndarray:
+    """Log-spaced cost samples: a (steps, 3) float array of rows (n, classical, scaled
+    quantum); NumericalError on overflow.
 
     InputError unless constant_ratio > 0, n_range is 2 <= lo <= hi < inf and steps an int.
     The models run once over the grid; ``_log`` takes ``math.log`` per entry
@@ -202,8 +197,7 @@ def sweep(
         raise InputError("need 2 <= lo <= hi < inf")
     (lo, hi), steps = bounds.tolist(), as_int(steps, "steps", 1, MAX_SWEEP_STEPS)
     grid = np.full(steps, lo) if lo == hi else np.geomspace(lo, hi, steps)
-    columns = _costs(grid, classical, quantum, constant_ratio)
-    return list(zip(*(column.tolist() for column in columns)))
+    return _costs(grid, classical, quantum, constant_ratio)
 
 
 def _sig6(value: float) -> str:
@@ -212,36 +206,27 @@ def _sig6(value: float) -> str:
     )
 
 
-def _three_values(chunk: list, start: int) -> list:
-    """``chunk`` if each row holds three values, else InputError naming the first that
-    does not, counting rows from ``start``.  Rows without ``len`` are read into tuples."""
-    try:
-        if {*map(len, chunk)} == {3}:
-            return chunk
-    except TypeError:  # a generator row, say; tuple() raises TypeError on a non-iterable one
-        chunk = [tuple(row) for row in chunk]
-    for i, row in enumerate(chunk):
-        if len(row) != 3:
-            raise InputError(f"sweep row {start + i} holds {len(row)} values, not 3")
-    return chunk
-
-
-def sweep_csv(rows: list[tuple[float, float, float]]) -> str:
+def sweep_csv(rows: np.ndarray) -> str:
     """CSV serialization: 6 significant digits, decimal notation, LF newlines.
 
-    Each row must hold exactly three values (InputError names the first that does not).
-    Rows are formatted ``CSV_CHUNK_ROWS`` at a time with one ``%``.  ``%.6g`` writes the
-    same digits as ``_sig6`` unless it switches to an exponent (below 1e-4 or from 1e6
-    on); only such a line is written again through ``_sig6``.
+    ``rows`` is a real (N, 3) array such as ``sweep`` returns (InputError otherwise, before
+    any output); NaN and +-inf are written as ``nan`` and ``inf``.  Rows are formatted
+    ``CSV_CHUNK_ROWS`` at a time with one ``%``.  ``%.6g`` writes the same digits as
+    ``_sig6`` unless it switches to an exponent (below 1e-4 or from 1e6 on); only such a
+    line is written again through ``_sig6``.
     """
+    rows = as_array(rows, "sweep value", 2, finite=False)
+    if rows.shape[1] != 3:
+        raise InputError(f"sweep rows must hold 3 values each, got shape {rows.shape}")
     parts = ["n,classical_cost,quantum_cost_scaled\n"]
-    rows, start = iter(rows), 0
-    while chunk := _three_values(list(islice(rows, CSV_CHUNK_ROWS)), start):
-        template = _CSV_CHUNK if len(chunk) == CSV_CHUNK_ROWS else _CSV_ROW * len(chunk)
-        text = template % tuple(chain.from_iterable(chunk))
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        values = rows[start:start + CSV_CHUNK_ROWS].ravel().tolist()
+        count = len(values) // 3
+        template = _CSV_CHUNK if count == CSV_CHUNK_ROWS else _CSV_ROW * count
+        text = template % tuple(values)
         if "e" in text:
-            text = "".join(",".join(map(_sig6, row)) + "\n" if "e" in line else line
-                           for line, row in zip(text.splitlines(True), chunk))
+            text = "".join(",".join(map(_sig6, values[3 * i:3 * i + 3])) + "\n"
+                           if "e" in line else line
+                           for i, line in enumerate(text.splitlines(True)))
         parts.append(text)
-        start += len(chunk)
     return "".join(parts)

@@ -172,7 +172,7 @@ def load_network(path: str | Path) -> Network:
         raise InputError(f"network path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_network(text)
 
@@ -182,7 +182,7 @@ def load_fixture(name: str) -> Network:
     ref = resources.files("qpf.data").joinpath(f"{name}.json")
     try:
         text = ref.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ValueError: a NUL in the name
         raise InputError(f"unknown fixture {name!r}") from exc
     return parse_network(text)
 

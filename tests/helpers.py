@@ -1,12 +1,15 @@
 """Shared test oracles, independent of the package's execution paths.
 
 The dense-matrix builders below work purely with index bit arithmetic so
-they cannot share bugs with the tensor-contraction code under test.
+they cannot share bugs with the tensor-contraction code under test, and
+they write each named gate from its closed form, not with the package's
+own matrix functions.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -18,7 +21,22 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
 )
-from qpf.qsim.circuit import _NAMED, _ry_matrix
+from qpf.qsim.circuit import _NAMED
+
+
+def named_matrix(name: str, params: tuple[float, ...]) -> np.ndarray:
+    """The 2x2 matrix of a named one-qubit gate (H, X, RY, RZ, P) by its closed form."""
+    if name == "H":
+        return np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    if name == "X":
+        return np.array([[0, 1], [1, 0]])
+    (angle,) = params
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array({
+        "RY": [[c, -s], [s, c]],
+        "RZ": [[cmath.exp(-0.5j * angle), 0], [0, cmath.exp(0.5j * angle)]],
+        "P": [[1, 0], [0, cmath.exp(1j * angle)]],
+    }[name])
 
 
 def dense_gate(gate, n: int) -> np.ndarray:
@@ -26,7 +44,8 @@ def dense_gate(gate, n: int) -> np.ndarray:
     size = 2**n
     mat = np.zeros((size, size), dtype=complex)
     if isinstance(gate, SingleQubit):
-        _embed_single(mat, gate.u, gate.target)
+        u = gate.u if gate.name == "U" else named_matrix(gate.name, gate.params)
+        _embed_single(mat, u, gate.target)
     elif isinstance(gate, Cnot):
         for col in range(size):
             row = col ^ (1 << gate.target) if (col >> gate.control) & 1 else col
@@ -50,7 +69,7 @@ def dense_gate(gate, n: int) -> np.ndarray:
     elif isinstance(gate, UniformlyControlledRy):
         for col in range(size):
             ctrl_val = sum(((col >> c) & 1) << i for i, c in enumerate(gate.controls))
-            u = _ry_matrix(float(gate.angles[ctrl_val]))
+            u = named_matrix("RY", (float(gate.angles[ctrl_val]),))
             bit = (col >> gate.target) & 1
             for out in (0, 1):
                 row = (col & ~(1 << gate.target)) | (out << gate.target)

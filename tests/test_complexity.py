@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,8 @@ class TestCostModels:
     @pytest.mark.parametrize("call, n", [
         (lambda: t_quantum(2.0, ComplexityParams(1e200, 0.1, 0.37)), "2"),  # s**2 overflows
         (lambda: t_classical(1e308, CLASSICAL_CONSERVATIVE), "1e+308"),
-        (lambda: t_classical(np.array([4.0, 1e308]), CLASSICAL_CONSERVATIVE), "1e+308"),
+        (lambda: sweep(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 34.0,
+                       (1e308, 1e308), 2), "1e+308"),  # the grid's guard
         (lambda: base_speed_ratio(8.0, CLASSICAL_CONSERVATIVE,
                                   ComplexityParams(1, 1e-200, 0.5)), "8"),  # k**2 is 0
     ])
@@ -116,15 +118,12 @@ class TestCostModels:
         with pytest.raises(NumericalError, match=rf"model cost at n = {re.escape(n)} is not"):
             call()
 
-    def test_ndarray_n_gives_the_point_values(self):
-        n = np.array([[2.0, 8.0], [50.0, 1e6]])
+    @pytest.mark.parametrize("n", [np.array([2.0, 8.0]), np.array(8.0), np.array([])])
+    def test_ndarray_n_is_refused(self, n):
+        # A grid is priced by sweep and find_crossover; the models take one real n.
         for model, p in ((t_classical, CLASSICAL_9BUS), (t_quantum, QUANTUM_9BUS)):
-            assert model(n, p).tolist() == [[model(v, p) for v in row] for row in n.tolist()]
-            assert model(np.array([]), p).shape == (0,)
-            with pytest.raises(InputError):
-                model(np.array([3.0, 1.99]), p)
-            with pytest.raises(InputError):
-                model(np.array([3.0, math.nan]), p)
+            with pytest.raises(InputError, match="^n must be a real number"):
+                model(n, p)
 
     @given(p=params_strategy, n=st.floats(2.0, 1e6))
     @settings(max_examples=60, deadline=None)
@@ -206,8 +205,8 @@ class TestFindCrossover:
         assert "log_e" in report.convention and "log_2" in report.convention
         assert len(report.samples) == 200
         # The grid is priced in one call; each sample keeps its one-point bits.
-        assert report.samples == [
-            (n, t_classical(n, CLASSICAL_CONSERVATIVE), 34.0 * t_quantum(n, QUANTUM_CONSERVATIVE))
+        assert report.samples.tolist() == [
+            [n, t_classical(n, CLASSICAL_CONSERVATIVE), 34.0 * t_quantum(n, QUANTUM_CONSERVATIVE)]
             for n in np.geomspace(2.0, 1e7, 200).tolist()
         ]
         # Sampled costs flip order exactly once, at n_star.
@@ -326,9 +325,22 @@ class TestSweep:
         quantum = ComplexityParams(s=6, k=0.1, epsilon=0.37, log_n_base=base)
         classical = ComplexityParams(s=6, k=0.1, epsilon=0.1, log_eps_base=base)
         rows = sweep(classical, quantum, 34.0, (2.0, 1e9), 10000)
-        assert rows == [(n, t_classical(n, classical), 34.0 * t_quantum(n, quantum))
-                        for n, _, _ in rows]
-        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
+        assert rows.dtype == np.float64 and rows.shape == (10000, 3)
+        assert rows.tolist() == [[n, t_classical(n, classical), 34.0 * t_quantum(n, quantum)]
+                                 for n in rows[:, 0].tolist()]
+
+    def test_table_memory(self):
+        # One float64 array: 2.4 MB of values at 10^5 rows (as float tuples, about 18 MiB).
+        tracemalloc.start()
+        try:
+            rows = sweep(CLASSICAL_CONSERVATIVE, QUANTUM_CONSERVATIVE, 34.0, (10.0, 2000.0),
+                         10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.dtype == np.float64 and rows.shape == (10**5, 3)
+        assert rows.flags.c_contiguous
+        assert peak < 12 * 2**20
 
     def test_range_validation(self):
         with pytest.raises(InputError):
@@ -348,6 +360,9 @@ class TestSweepCsv:
         assert len(lines) == 7  # header + 5 rows + trailing newline
         assert lines[-1] == ""
         assert "\r" not in text
+
+    def test_no_rows_give_the_header_alone(self):
+        assert sweep_csv(np.empty((0, 3))) == "n,classical_cost,quantum_cost_scaled\n"
 
     def test_six_significant_digits_decimal_notation(self):
         text = sweep_csv([(1234567.0, 0.0374918918918919, 179.2466821061855)])
@@ -381,6 +396,7 @@ class TestSweepCsv:
         assert text == self._per_cell(self.EDGE_ROWS)
         assert text.splitlines()[3] == "1234560,1234580,1000000"
 
+    # A nest of sequences is an array-like, taken as every real-array argument is.
     @staticmethod
     def _as_kind(rows, kind):
         return {
@@ -421,31 +437,36 @@ class TestSweepCsv:
         assert text == self._per_cell(rows)
         assert text.splitlines()[chunk - 1] == "1234570,0.000025,3"
 
-    def test_rows_from_an_iterator(self):
-        rows = self._plain_rows(complexity.CSV_CHUNK_ROWS + 3)
-        assert sweep_csv(iter(rows)) == sweep_csv(iter(row) for row in rows) == self._per_cell(rows)
+    @pytest.mark.parametrize("rows", [
+        np.ones((complexity.CSV_CHUNK_ROWS + 3, 2)),
+        np.ones((complexity.CSV_CHUNK_ROWS + 3, 4)),
+        [(1.0, 2.0, 3.0)] * (complexity.CSV_CHUNK_ROWS + 3) + [(1.0, 2.0, 3.0, 4.0)],  # ragged
+        np.ones(3),
+        np.ones((2, 2, 3)),
+    ], ids=["n-by-2", "n-by-4", "ragged", "1-d", "3-d"])
+    def test_a_table_not_n_by_3_is_refused(self, rows):
+        with pytest.raises(InputError, match="^sweep (value|rows)"):
+            sweep_csv(rows)
 
-    @pytest.mark.parametrize(("rows", "index", "count"), [
-        ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], 0, 2),  # one flat list would read as 2 rows of 3
-        ([(1.0, 2.0, 3.0, 4.0)], 0, 4),
-        ([(1.0, 2.0)], 0, 2),
-        ([(1.0, 2.0, 3.0)] * (complexity.CSV_CHUNK_ROWS + 3) + [(1.0, 2.0, 3.0, 4.0)],
-         complexity.CSV_CHUNK_ROWS + 3, 4),
-        ([(1.0, 2.0, 3.0), iter((1.0, 2.0))], 1, 2),
-    ])
-    def test_a_row_without_three_values_is_refused(self, rows, index, count):
-        with pytest.raises(InputError, match=f"^sweep row {index} holds {count} values, not 3$"):
+    def test_rows_from_an_iterator(self):
+        # Not an array: refused as a whole, before any row is written.
+        rows = iter(self._plain_rows(complexity.CSV_CHUNK_ROWS + 3))
+        with pytest.raises(InputError, match="^sweep value must be float, got object$"):
             sweep_csv(rows)
 
     @pytest.mark.parametrize("row", [("a", "b", "c"), (1.0, None, 2.0), 1.0])
     def test_a_row_of_non_numbers_raises(self, row):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="^sweep value"):
             sweep_csv([(1.0, 2.0, 3.0), row])
 
 
 def test_time_cost_model_script_runs():
     script = Path(__file__).resolve().parent.parent / "scripts" / "time_cost_model.py"
-    done = subprocess.run([sys.executable, str(script), "--repeats", "1"],
+    done = subprocess.run([sys.executable, str(script), "--repeats", "1", "--peak"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("8 draws") == 3
+    # The 10^6-row table is 24 MB of floats (as float tuples, the peak is about 180 MiB).
+    peak = re.search(r"^sweep \+ sweep_csv at 1000000 steps: tracemalloc peak ([\d.]+) MiB$",
+                     done.stdout, re.M)
+    assert peak and 0 < float(peak[1]) < 120, done.stdout

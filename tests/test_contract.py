@@ -135,7 +135,8 @@ def _network_text(p_pu, x_pu) -> str:
 TEXTS = HOSTILE + NEAR_LIMITS + [b"{}", "", "{not json", "[1, 2]", _network_text(-0.5, 0.1)] + [
     _network_text(v, 0.1) for v in NEAR_LIMITS] + [_network_text(-0.5, v) for v in NEAR_LIMITS]
 WSCC9 = Path(qpf.__file__).parent / "data" / "wscc9.json"
-PATHS = HOSTILE + NEAR_LIMITS + [WSCC9, str(WSCC9), b"wscc9.json", "no/such/network.json"]
+PATHS = HOSTILE + NEAR_LIMITS + [WSCC9, str(WSCC9), b"wscc9.json", "no/such/network.json",
+                                 "\0", "wscc9.json\0"]
 
 reals = st.sampled_from(REALS)
 near_limit_reals = st.sampled_from(REALS + NEAR_LIMITS)
@@ -349,6 +350,7 @@ CASES = st.sampled_from(sorted(ROWS)).flatmap(
 @example(case=("post_select", (np.array([1e200, 1e200], dtype=complex), 0, 1)))
 @example(case=("parse_network", (None,)))
 @example(case=("load_network", (None,)))
+@example(case=("load_network", ("\0",)))
 @example(case=("eigendecompose", (NEAR_LIMIT_MATRICES[5],)))
 @example(case=("eigendecompose", (NEAR_LIMIT_MATRICES[6],)))
 @settings(max_examples=1500, deadline=None, derandomize=True,
@@ -371,7 +373,7 @@ def test_every_row_runs_a_valid_call(name):
         "run_hhl": ([[2, 1], [1, 3]], [3, 4], 2, None, None),
         "solve_dc": ([[2, 1], [1, 3]], [3, 4]), "parse_network": (_network_text(-0.5, 0.1),),
         "load_network": (WSCC9,),
-        "sweep": (34.0, (10.0, 100.0), 5), "t_classical": (np.array([4.0, 8.0]),),
+        "sweep": (34.0, (10.0, 100.0), 5), "t_classical": (4.0,),
         "t_quantum": (4,), "Circuit": (3, [h(0)]), "Cnot": (np.int64(0), 1),
         "ControlledUnitary": ((1,), (0,), np.eye(2), 1),
         "SingleQubit": (0, None, "RZ", (np.float32(0.5),)),

@@ -259,6 +259,21 @@ def test_unknown_fixture():
         load_fixture("nosuchgrid")
 
 
+@pytest.mark.parametrize("name", ["\0", "wscc9\0", "wscc9.json\0"])
+def test_a_nul_in_a_path_or_fixture_name_is_an_input_error(name):
+    with pytest.raises(InputError, match="unknown fixture"):
+        load_fixture(name)
+    with pytest.raises(InputError, match="cannot read"):
+        load_network(name)
+
+
+def test_a_network_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match="cannot read"):
+        load_network(path)
+
+
 def test_solve_rejects_indefinite_matrix():
     system = ReducedSystem(
         b=np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import count_named_builds, dense_unitary_deviation, random_unitary
+from helpers import count_named_builds, dense_unitary_deviation, named_matrix, random_unitary
 from qpf.errors import InputError
 from qpf.qsim import ControlledUnitary, SingleQubit, h, phase, ry, rz, x
 from qpf.qsim.circuit import _NAMED, UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
@@ -154,6 +154,14 @@ def test_named_gates_are_unitary_by_construction(rng, factory, params):
         gate = factory(0) if angle is None else factory(0, angle)
         for made in (gate, gate.inverse()):
             assert dense_unitary_deviation(made.u) <= 1e-15, (made.name, angle)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, -1.7, math.pi, 2.5, -7.25])
+def test_named_gate_matrices_are_their_closed_forms(angle):
+    # The dense oracle writes named gates from these forms, so a wrong gate matrix shows.
+    for gate in (h(0), x(0), ry(0, angle), rz(0, angle), phase(0, angle)):
+        np.testing.assert_allclose(gate.u, named_matrix(gate.name, gate.params),
+                                   rtol=0, atol=1e-15, err_msg=gate.name)
 
 
 def test_inverse_is_the_exact_conjugate_transpose(rng):
