@@ -448,6 +448,21 @@ class TestSweepCsv:
         with pytest.raises(InputError, match="^sweep (value|rows)"):
             sweep_csv(rows)
 
+    @pytest.mark.parametrize(("rows", "index", "count"), [
+        ([(1.0, 2.0), (3.0, 4.0, 5.0, 6.0)], 0, 2),  # one flat list would read as 2 rows of 3
+        ([(1.0, 2.0, 3.0, 4.0)], 0, 4),
+        ([(1.0, 2.0)], 0, 2),
+        ([(1.0, 2.0, 3.0)] * (complexity.CSV_CHUNK_ROWS + 3) + [(1.0, 2.0, 3.0, 4.0)],
+         complexity.CSV_CHUNK_ROWS + 3, 4),
+        ([(1.0, 2.0, 3.0), iter((1.0, 2.0))], 1, 2),
+    ])
+    def test_a_row_without_three_values_is_refused(self, rows, index, count):
+        # Row `index` holds `count` values: the table is refused whole, before any row
+        # is read, so that row (an iterator too) still holds all its values.
+        with pytest.raises(InputError, match="^sweep (value|rows)"):
+            sweep_csv(rows)
+        assert len(list(rows[index])) == count
+
     def test_rows_from_an_iterator(self):
         # Not an array: refused as a whole, before any row is written.
         rows = iter(self._plain_rows(complexity.CSV_CHUNK_ROWS + 3))
