@@ -16,9 +16,10 @@ clock states, which is the dominant (and here the only) fidelity loss.
 Padding to 2^beta appends (lambda_max, unit vector) eigenpairs to the one
 eigendecomposition of the n x n B, and zeros to p.  Everything is simulated
 exactly: each power U^{2^k} = V e^{i Lambda t 2^k} V^T is formed from the
-real eigenvectors V, its real and imaginary parts as the two real products
-(V cos(Lambda t 2^k)) V^T and (V sin(Lambda t 2^k)) V^T, and probabilities
-come from amplitudes, not shots.
+real eigenvectors V by ``qsim.controlled_evolutions``, its real and imaginary
+parts as the two real products (V cos(Lambda t 2^k)) V^T and
+(V sin(Lambda t 2^k)) V^T, with one orthogonality check of V in place of a
+unitarity check of each power; probabilities come from amplitudes, not shots.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from qpf.qsim import (
     ControlledUnitary,
     UniformlyControlledRy,
     apply_circuit,
+    controlled_evolutions,
     h,
     metrics,
     post_select,
@@ -169,7 +171,9 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
     """Phase-estimation segment on beta + alpha qubits (no ancilla).
 
     Hadamards on the clock, controlled e^{iBt 2^k} from clock bit k onto the
-    solution register, then the inverse QFT on the clock.
+    solution register, then the inverse QFT on the clock.  The alpha
+    evolutions come from ``controlled_evolutions``, which checks the
+    eigenvectors once for all of them (InputError unless orthogonal).
     """
     dim = len(eig.lambdas)
     beta = dim.bit_length() - 1
@@ -181,13 +185,8 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
     circuit = Circuit(beta + alpha)
     for q in clock:
         circuit.append(h(q))
-    vectors = eig.vectors
-    for k, q in enumerate(clock):
-        angles = eig.lambdas * scaling.t * 2**k
-        u = np.empty((dim, dim), dtype=complex)
-        u.real = (vectors * np.cos(angles)) @ vectors.T
-        u.imag = (vectors * np.sin(angles)) @ vectors.T
-        circuit.append(ControlledUnitary((q,), targets, u))
+    phases = [eig.lambdas * scaling.t * 2**k for k in range(alpha)]
+    circuit.extend(controlled_evolutions(clock, targets, eig.vectors, phases))
     for gate in reversed(_qft_gates(clock)):
         circuit.append(gate.inverse())
     return circuit

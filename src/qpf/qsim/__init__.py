@@ -8,6 +8,7 @@ from qpf.qsim.circuit import (
     Gate,
     SingleQubit,
     UniformlyControlledRy,
+    controlled_evolutions,
     dump,
     h,
     phase,
@@ -35,6 +36,7 @@ __all__ = [
     "SingleQubit",
     "UniformlyControlledRy",
     "apply_circuit",
+    "controlled_evolutions",
     "dump",
     "h",
     "is_lowered",

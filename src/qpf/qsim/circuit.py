@@ -9,7 +9,9 @@ row/column index.
 Gates are frozen dataclasses, one class per kind holding all of that kind's
 behaviour (see ``Gate``), that check themselves once, when made (distinct
 qubits, a given numeric matrix unitary, an int pattern that fits, the angle
-count, finite real angles); a Circuit is an ordered gate list over a
+count, finite real angles); ``controlled_evolutions`` makes the QPE's
+``ControlledUnitary`` family, V e^{i phi_k} V^T for one real V, with one check
+of V in place of one per matrix.  A Circuit is an ordered gate list over a
 fixed-width register whose ``append`` checks only the gate kind and the
 width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
@@ -31,6 +33,9 @@ UNITARY_TOL = 1e-10
 # The widest register any circuit or state may have: a complex128 statevector of
 # 2^24 amplitudes is 256 MiB, and a run holds up to four.  The benchmark's widest has 16.
 MAX_QUBITS = 24
+# The widest evolution ``controlled_evolutions`` takes as unitary from one check
+# of its eigenbasis; a wider one is checked itself (see there).
+_MAX_BASIS_CHECKED_DIM = 1024
 
 # Builders of the named 2x2 matrices (see ``_NAMED``).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -52,18 +57,22 @@ def _rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> None:
+def _check_unitary(u: np.ndarray, dim: int, tol: float = UNITARY_TOL) -> None:
+    """InputError unless ``u`` is a numpy array of numbers of shape (dim, dim) with
+    max |entry| of u^H u - I at most ``tol``."""
     if not isinstance(u, np.ndarray):
         raise InputError(f"unitary matrix must be a numpy array, got {type(u).__name__}")
     if u.shape != (dim, dim):
         raise InputError(f"matrix shape {u.shape}, expected {(dim, dim)}")
-    # Complex, so that an integer matrix's product cannot wrap; NaN/inf fail the test below.
-    v = as_array(u, "matrix element", 2, complex, finite=False)
+    # A float64 product for a real matrix and a complex one otherwise, so that an
+    # integer matrix's product cannot wrap; NaN/inf fail the test below.
+    real = u.dtype.kind in "iuf"
+    v = as_array(u, "matrix element", 2, float if real else complex, finite=False)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf entries
-        gram = v.conj().T @ v
+        gram = v.T @ v if real else v.conj().T @ v
         gram.reshape(-1)[:: dim + 1] -= 1  # minus the identity, in place
         dev = np.abs(gram).max()
-    if not dev <= UNITARY_TOL:  # also rejects NaN
+    if not dev <= tol:  # also rejects NaN
         raise InputError(f"matrix not unitary (deviation {dev:.2e})")
 
 
@@ -79,11 +88,20 @@ class Gate:
 
     Only a matrix a caller gives is checked for unitarity, once, when its gate
     is made: a named gate is unitary by construction from its checked params,
-    and an inverse is the conjugate transpose of a checked matrix.  A named
+    and an inverse is the conjugate transpose of a checked matrix.  One family
+    is checked through its factor instead: each evolution that
+    ``controlled_evolutions`` makes from a real eigenbasis V is unitary to
+    ``UNITARY_TOL`` once V is checked orthogonal to a tighter tolerance (up
+    to ``_MAX_BASIS_CHECKED_DIM`` dims; a wider one is checked itself).  A named
     gate builds ``u`` on its first read; its checks still run when it is made.
     Qubits are told apart by their text, equal for equal Python or numpy ints:
     reading it cannot fail on an unhashable or huge index, as a comparison can.
     """
+
+
+def _check_distinct(qubits: tuple) -> None:
+    if len(set(map(str, qubits))) != len(qubits):  # see Gate: text, not values
+        raise InputError(f"gate reuses a qubit: {qubits}")
 
 
 def _unchecked(cls: type, **fields) -> Gate:
@@ -209,8 +227,7 @@ class ControlledUnitary(Gate):
     control_pattern: int = -1  # -1 means "all ones"
 
     def __post_init__(self) -> None:
-        if len(set(map(str, self.qubits))) != len(self.qubits):  # see Gate
-            raise InputError(f"gate reuses a qubit: {self.qubits}")
+        _check_distinct(self.qubits)
         _check_unitary(self.u, 2 ** len(self.targets))
         as_int(self.control_pattern, "control_pattern", -1, 2 ** len(self.controls) - 1)
 
@@ -236,6 +253,50 @@ class ControlledUnitary(Gate):
         return self.controls, self.pattern, self.targets, self.u
 
 
+def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
+                          vectors: np.ndarray, phases: np.ndarray) -> list[ControlledUnitary]:
+    """``ControlledUnitary((controls[k],), targets, u_k)`` for each k, where
+    u_k = V diag(e^{i phases[k]}) V^T for the real eigenbasis V = ``vectors``
+    (one eigenvector per column), formed as two real products:
+    ``u_k.real = (V cos(phases[k])) V^T`` and ``u_k.imag = (V sin(phases[k])) V^T``.
+
+    InputError unless V is a real, finite (dim, dim) array with dim =
+    2^len(targets), ``phases`` a finite real (len(controls), dim) array, each
+    control apart from the targets, and V orthogonal.  Each u_k is unitary
+    exactly when V is orthogonal, so V is checked once instead of every u_k.
+    With E = V^T V - I and max|E| <= eps = UNITARY_TOL / (4 dim), ||E||_2 <=
+    dim eps <= UNITARY_TOL / 4, and u^H u - I = (V V^T - I) + V conj(D) E D V^T
+    has every entry within ||E||_2 (2 + ||E||_2) < UNITARY_TOL / 2.  Rounding
+    adds the rest: each entry of a product is a dim-term sum over near-unit
+    rows, off by at most about sqrt(2) dim 2^-53, which moves an entry of
+    u^H u - I by at most about 2 sqrt(2) dim^1.5 2^-53, 1.3e-12 at 256 dims and
+    1.0e-11 at 1,024.  An ``eigh`` basis reads about 3e-15 at 256 dims, where
+    eps = 9.8e-14.  Past ``_MAX_BASIS_CHECKED_DIM`` dims eps falls to what
+    ``eigh``'s own basis reads (1.1 eps at 4,096) and the rounding term grows,
+    so there each u_k is checked when made, as a caller's matrix is.
+    """
+    dim = 2 ** len(targets)
+    v = as_array(vectors, "eigenvector entry", 2)
+    phases = as_array(phases, "phase", 2)
+    if v.shape != (dim, dim) or phases.shape != (len(controls), dim):
+        raise InputError(f"eigenvectors of shape {v.shape} and phases of shape "
+                         f"{phases.shape} for {len(controls)} controls on {dim} dims")
+    for control in controls:
+        _check_distinct((control, *targets))
+    bounded = dim <= _MAX_BASIS_CHECKED_DIM
+    if bounded:
+        _check_unitary(v, dim, UNITARY_TOL / (4 * dim))
+    gates = []
+    for control, angles in zip(controls, phases):
+        u = np.empty((dim, dim), dtype=complex)
+        u.real = (v * np.cos(angles)) @ v.T
+        u.imag = (v * np.sin(angles)) @ v.T
+        fields = {"controls": (control,), "targets": targets, "u": u, "control_pattern": -1}
+        gates.append(_unchecked(ControlledUnitary, **fields) if bounded
+                     else ControlledUnitary(**fields))
+    return gates
+
+
 @dataclass(frozen=True, eq=False)
 class UniformlyControlledRy(Gate):
     """Ry(angles[m]) on ``target`` for each control basis value m.
@@ -248,8 +309,7 @@ class UniformlyControlledRy(Gate):
     angles: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(set(map(str, self.qubits))) != len(self.qubits):  # see Gate
-            raise InputError(f"gate reuses a qubit: {self.qubits}")
+        _check_distinct(self.qubits)
         object.__setattr__(self, "angles", as_array(self.angles, "angle", 1))
         if len(self.angles) != 2 ** len(self.controls):
             raise InputError(f"{len(self.angles)} angles for {len(self.controls)} controls")

@@ -9,11 +9,13 @@ own matrix functions.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
-from qpf.grid import ReducedSystem
+from qpf.grid import ReducedSystem, build_reduced_system, network_from_dict
 from qpf.qsim import (
     Circuit,
     Cnot,
@@ -187,6 +189,16 @@ def exact_grid_system(
     p = rng.normal(size=dim)
     p /= np.linalg.norm(p)
     return ReducedSystem(b=b, p=p, bus_order=tuple(range(2, dim + 2)))
+
+
+def benchmark_ring(buses: int, seed: int) -> ReducedSystem:
+    """The reduced system of ``perfbench/netgen.py``'s ring of ``buses`` buses,
+    network seed ``seed``, as the benchmark's ``grid-scale-sim`` makes it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("netgen", path)
+    netgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netgen)
+    return build_reduced_system(network_from_dict(netgen.ring_chord_network(buses, seed)))
 
 
 def count_named_builds(monkeypatch) -> list[str]:

@@ -205,6 +205,29 @@ def test_hhl_commands_reject_same_inputs(capsys, tmp_path, command, network, mes
     assert out == ""
 
 
+# Reduced dimension 128 at alpha 1: 2.87e8 CNOTs by the bound, over the budget.
+CHAIN_129 = {
+    "base_mva": 100.0,
+    "buses": [{"id": 1, "slack": True, "p_pu": 0.0}] + [
+        {"id": i, "slack": False, "p_pu": 0.1 if i % 2 else -0.1} for i in range(2, 130)],
+    "branches": [{"from": i, "to": i + 1, "x_pu": 0.1} for i in range(1, 129)],
+}
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["solve", "--method", "hhl"]])
+def test_hhl_commands_refuse_a_circuit_over_the_cnot_budget(capsys, tmp_path, command,
+                                                            monkeypatch):
+    def never(circuit):
+        raise AssertionError("lowered past the CNOT budget")
+
+    monkeypatch.setattr(sys.modules["qpf.qsim.metrics"], "lower_to_basis", never)
+    path = write_network(tmp_path, CHAIN_129)
+    code, out, err = run_cli(capsys, *command, "--input", path, "--alpha", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: circuit lowers to up to 286836804 CNOTs, "
+                   "over the 50000000-CNOT limit\n")
+
+
 class TestCrossover:
     def test_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "crossover")

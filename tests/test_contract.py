@@ -62,6 +62,7 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     apply_circuit,
+    controlled_evolutions,
     dump,
     h,
     metrics,
@@ -110,6 +111,12 @@ UNITARIES = [
     np.array([[math.nan, 0], [0, 1]]), np.eye(2, dtype=object), np.ones((2, 2)), np.eye(3),
     np.ones(2), np.array(1.0),
 ]
+# Eigenbases and phase tables for controlled_evolutions: the matrices above,
+# orthogonal ones and (controls, dim) tables, hostile ones among them.
+BASES = MATRICES + [np.array([[0.6, 0.8], [-0.8, 0.6]]), np.eye(4), [[0, 1], [1, 0]]]
+PHASES = VECTORS + [np.zeros((1, 2)), [[0.5, -1.0]], np.ones((2, 2)), np.zeros((1, 4)),
+                    np.zeros((1, 1)), [[math.nan, 0.0]], [[1e308, -1e308]], [[1j, 0]],
+                    [[True, False]], np.zeros((0, 2))]
 QUBIT_TUPLES = [(), (1,), (1, 2), (2, 1), (1, 1), (0.5,), (True,), (np.int64(2),), (2**64,),
                 ("1",), (-1,), (9,)]
 
@@ -236,6 +243,11 @@ ROWS = {
         lambda controls, target, angles: _exercise(
             UniformlyControlledRy(controls, target, angles)),
         st.tuples(st.sampled_from(QUBIT_TUPLES), indices, vectors)),
+    "controlled_evolutions": (
+        lambda controls, targets, vectors, phases: _run(
+            Circuit(3, controlled_evolutions(controls, targets, vectors, phases))),
+        st.tuples(st.sampled_from(QUBIT_TUPLES), st.sampled_from(QUBIT_TUPLES[:3] + [(0,)]),
+                  st.sampled_from(BASES), st.sampled_from(PHASES))),
     "apply_circuit": (lambda state: apply_circuit(state, Circuit(2, [h(0), Cnot(0, 1)])),
                       st.tuples(vectors)),
     "h": (lambda target: _exercise(h(target)), st.tuples(indices)),
@@ -378,6 +390,7 @@ def test_every_row_runs_a_valid_call(name):
         "ControlledUnitary": ((1,), (0,), np.eye(2), 1),
         "SingleQubit": (0, None, "RZ", (np.float32(0.5),)),
         "UniformlyControlledRy": ((1,), 0, [0.1, 0.2]),
+        "controlled_evolutions": ((1, 2), (0,), [[0.6, 0.8], [-0.8, 0.6]], [[0.5, 1], [2, 0]]),
         "apply_circuit": (np.array([1, 0, 0, 0]),),
         "h": (np.uint8(1),), "x": (2,), "phase": (1, 0.25), "ry": (0, 3), "rz": (1, -1.0),
         "post_select": (np.ones(4) / 2, 1, np.int64(0)), "prepare_state": ([0.6, 0.8],),

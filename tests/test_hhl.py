@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import qpf.hhl as hhl_module
-from helpers import exact_grid_system
+from helpers import benchmark_ring, dense_unitary_deviation, exact_grid_system
 from qpf.errors import InputError, NumericalError, PostSelectionError
 from qpf.grid import ReducedSystem, solve_dc
 from qpf.hhl import (
@@ -34,7 +34,7 @@ from qpf.qsim import (
     x,
     zero_state,
 )
-from qpf.qsim.circuit import MAX_QUBITS
+from qpf.qsim.circuit import MAX_QUBITS, UNITARY_TOL
 
 # Stored 9-bus reference solution pair (a direct classical solve vs. a noisy
 # HHL run) used to validate the fidelity convention.
@@ -290,6 +290,20 @@ class TestQpe:
         padded = np.eye(2**beta) * np.linalg.eigvalsh(wscc9_system.b)[-1]
         padded[:n, :n] = wscc9_system.b
         self.assert_evolutions_are_exponentials(circuit.gates, padded, scaling)
+
+    @pytest.mark.parametrize("case", ["wscc9-a5", "ring257-a7"])
+    def test_every_evolution_meets_the_unitary_tolerance(self, wscc9_system, case):
+        # The evolutions are made without a check of their own (their eigenbasis
+        # is checked instead), so a Gram product written here reads each one.
+        system, alpha = ((wscc9_system, 5) if case == "wscc9-a5"
+                         else (benchmark_ring(257, 1008), 7))
+        circuit, _, beta, _ = plan_hhl(system, HHLConfig(alpha=alpha))
+        evolutions = [g.u for g in circuit.gates
+                      if isinstance(g, ControlledUnitary) and len(g.targets) == beta]
+        assert len(evolutions) == 2 * alpha  # the QPE's and its inverse's
+        for u in evolutions:
+            assert u.shape == (2**beta, 2**beta)
+            assert dense_unitary_deviation(u) <= UNITARY_TOL
 
     def test_rejects_non_power_of_two_dimension(self):
         eig = eigendecompose(np.diag([1.0, 2.0, 3.0]))

@@ -1,19 +1,22 @@
 """Gate checks made when a gate is made: the unitarity check against a dense
 oracle, on non-finite entries too, the names, params and matrices a
 SingleQubit can honour, and the gates that need no check: named gates and
-inverses.  A named gate builds its matrix on first read."""
+inverses.  A named gate builds its matrix on first read.  The QPE evolutions
+of ``controlled_evolutions`` are checked once, through their eigenbasis."""
 
 import copy
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import qpf.qsim.circuit as circuit_module
 from helpers import count_named_builds, dense_unitary_deviation, named_matrix, random_unitary
 from qpf.errors import InputError
-from qpf.qsim import ControlledUnitary, SingleQubit, h, phase, ry, rz, x
+from qpf.qsim import ControlledUnitary, SingleQubit, controlled_evolutions, h, phase, ry, rz, x
 from qpf.qsim.circuit import _NAMED, UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
 
 
@@ -68,6 +71,18 @@ def test_an_integer_matrix_is_checked_without_wrapping():
     # 129^2 = 1 mod 256: a uint8 product would read this matrix as unitary.
     with pytest.raises(InputError, match=r"^matrix not unitary \(deviation 1.66e\+04\)"):
         SingleQubit(0, np.array([[129, 0], [0, 129]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("u, want", [
+    (np.array([[2**62, 0], [0, 1]]), "2.13e+37"),
+    (np.array([[1.0, 0.0], [math.nan, 1.0]]), "nan"),
+    (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), "2.00e-09"),
+])
+def test_a_real_matrix_is_refused_by_its_real_product(u, want):
+    with pytest.raises(InputError, match=rf"^matrix not unitary \(deviation {re.escape(want)}\)$"):
+        _check_unitary(u, 2)
+    _check_unitary(np.array([[0, 1], [1, 0]]), 2)
+    _check_unitary(_ry_matrix(0.7).real.copy(), 2)
 
 
 @pytest.mark.parametrize("u, message", [
@@ -280,3 +295,93 @@ def test_single_qubit_keeps_its_dataclass_fields_and_frozenness(make):
                 setattr(gate, attr, value)
         assert (gate.target, gate.params) == (1, make().params)
     assert np.array_equal(gate.u, make().u)
+
+
+def _eigenbasis(rng, dim):
+    """The eigenvectors, by ``eigh``, of a random symmetric matrix."""
+    a = rng.normal(size=(dim, dim))
+    return np.linalg.eigh(a + a.T)[1]
+
+
+@pytest.mark.parametrize("beta", [1, 3, 8])
+def test_evolutions_are_v_exp_i_phases_v_transposed(rng, beta):
+    dim, controls = 2**beta, (beta + 1, beta, beta + 3)
+    v, phases = _eigenbasis(rng, dim), rng.uniform(-50, 50, size=(3, dim))
+    targets = tuple(range(beta))
+    gates = controlled_evolutions(controls, targets, v, phases)
+    assert [type(g) for g in gates] == [ControlledUnitary] * 3
+    for gate, control, row in zip(gates, controls, phases):
+        assert (gate.controls, gate.targets, gate.pattern) == ((control,), targets, 1)
+        np.testing.assert_allclose(gate.u, (v * np.exp(1j * row)) @ v.T, rtol=0, atol=1e-12)
+        assert dense_unitary_deviation(gate.u) <= UNITARY_TOL
+
+
+def test_evolutions_check_the_basis_once_not_each_matrix(rng, monkeypatch):
+    calls = []
+    check = circuit_module._check_unitary
+    monkeypatch.setattr(circuit_module, "_check_unitary",
+                        lambda *a: calls.append(a) or check(*a))
+    v = _eigenbasis(rng, 256)
+    controlled_evolutions((8, 9, 10), tuple(range(8)), v, rng.normal(size=(3, 256)))
+    assert len(calls) == 1 and calls[0][0] is v
+    assert calls[0][1:] == (256, UNITARY_TOL / 1024)
+
+
+def _never(*args, **fields):
+    raise AssertionError("a gate was made")
+
+
+@pytest.mark.parametrize("dim", [4, 256])
+def test_a_non_orthogonal_basis_is_refused_before_any_gate(rng, dim, monkeypatch):
+    v = _eigenbasis(rng, dim)
+    v[:, 1] *= 1 + 1e-8
+    beta = dim.bit_length() - 1
+    monkeypatch.setattr(circuit_module, "_unchecked", _never)
+    monkeypatch.setattr(circuit_module, "ControlledUnitary", _never)
+    with pytest.raises(InputError, match=r"^matrix not unitary \(deviation 2.00e-08\)$"):
+        controlled_evolutions((beta,), tuple(range(beta)), v, np.zeros((1, dim)))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda v, p: (v + 0j, p), "eigenvector entry must be float, got complex128"),
+    (lambda v, p: (v.astype(bool), p), "eigenvector entry must be float, got bool"),
+    (lambda v, p: (v, p.astype(complex)), "phase must be float, got complex128"),
+    (lambda v, p: (v, np.where(p == p[0, 0], math.nan, p)), "non-finite phase"),
+    (lambda v, p: (v, np.where(p == p[1, 2], math.inf, p)), "non-finite phase"),
+    (lambda v, p: (v, p[:, :4]), r"phases of shape \(2, 4\) for 2 controls on 8 dims"),
+    (lambda v, p: (v, p[:1]), r"phases of shape \(1, 8\) for 2 controls"),
+    (lambda v, p: (v, p[0]), r"phase: expected a 2-D array, got shape \(8,\)"),
+    (lambda v, p: (v[:4, :4], p), r"eigenvectors of shape \(4, 4\)"),
+    (lambda v, p: (v.tolist(), p), None),
+])
+def test_evolution_inputs_are_checked(rng, change, message):
+    v, phases = change(_eigenbasis(rng, 8), rng.normal(size=(2, 8)))
+    if message is None:  # any real array of the right shape will do
+        assert len(controlled_evolutions((3, 4), (0, 1, 2), v, phases)) == 2
+        return
+    with pytest.raises(InputError, match=message):
+        controlled_evolutions((3, 4), (0, 1, 2), v, phases)
+
+
+@pytest.mark.parametrize("controls", [(3, 1), (2,), (3, 4, 0)])
+def test_an_evolution_reusing_a_qubit_is_refused(rng, controls):
+    with pytest.raises(InputError, match="gate reuses a qubit"):
+        controlled_evolutions(controls, (0, 1, 2), _eigenbasis(rng, 8),
+                              rng.normal(size=(len(controls), 8)))
+
+
+def test_past_the_bounded_width_each_evolution_is_checked(rng, monkeypatch):
+    # Where one check of the basis no longer bounds every evolution, each is
+    # checked as a caller's matrix is, and the basis is not.
+    monkeypatch.setattr(circuit_module, "_MAX_BASIS_CHECKED_DIM", 4)
+    calls = []
+    check = circuit_module._check_unitary
+    monkeypatch.setattr(circuit_module, "_check_unitary",
+                        lambda *a: calls.append(a) or check(*a))
+    v, phases = _eigenbasis(rng, 8), rng.normal(size=(2, 8))
+    gates = controlled_evolutions((3, 4), (0, 1, 2), v, phases)
+    assert len(calls) == 2
+    assert all(u is g.u and dim == 8 for (u, dim), g in zip(calls, gates))
+    v[:, 1] *= 1 + 1e-8
+    with pytest.raises(InputError, match=r"^matrix not unitary \(deviation 2\.\d\de-08\)$"):
+        controlled_evolutions((3, 4), (0, 1, 2), v, phases)

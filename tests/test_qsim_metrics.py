@@ -1,6 +1,10 @@
+import importlib
+
+import numpy as np
 import pytest
 
-from helpers import asap_depth, cnot_bound, random_circuit, random_unitary
+from helpers import asap_depth, benchmark_ring, cnot_bound, random_circuit, random_unitary
+from qpf.errors import InputError
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
@@ -13,6 +17,10 @@ from qpf.qsim import (
     ry,
     x,
 )
+from qpf.qsim.metrics import MAX_LOWERED_CNOTS, lowered_cnot_bound
+
+# The module, which its own function ``metrics`` shadows as an attribute of qpf.qsim.
+metrics_module = importlib.import_module("qpf.qsim.metrics")
 
 
 def test_empty_circuit():
@@ -108,3 +116,53 @@ def test_cnot_bound_is_exact_on_a_dense_gate(rng, targets, controls, cnots):
 def test_cnot_bound_holds_on_wscc9_plans(wscc9_system, alpha):
     circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
     assert metrics(circuit).cnot_count <= cnot_bound(circuit)
+
+
+def _awkward_blocks(rng, dim):
+    """Unitaries whose lowering skips Givens rotations: diagonal, permutation
+    and block-diagonal ones, each with random phases."""
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
+    perm = np.eye(dim)[rng.permutation(dim)]
+    half = np.kron(np.eye(dim // 2), random_unitary(rng, 2)) if dim > 2 else perm
+    return [np.diag(phases), perm * phases, half * phases, np.eye(dim)]
+
+
+def test_library_bound_is_the_oracle_bound(rng, wscc9_system):
+    circuits = [random_circuit(rng, n, length=12) for n in (1, 2, 3, 4, 5) for _ in range(4)]
+    circuits += [plan_hhl(wscc9_system, HHLConfig(alpha=a))[0] for a in (3, 5, 11)]
+    for circuit in circuits:
+        assert lowered_cnot_bound(circuit) == cnot_bound(circuit)
+    assert [lowered_cnot_bound(c) for c in circuits[-3:]] == [14120, 23590, 54136]
+
+
+@pytest.mark.parametrize("targets, controls", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_library_bound_holds_where_rotations_are_skipped(rng, targets, controls):
+    width = targets + controls
+    for u in [random_unitary(rng, 2**targets), *_awkward_blocks(rng, 2**targets)]:
+        for pattern in (0, 2**controls - 1):
+            circuit = Circuit(width, [ControlledUnitary(
+                tuple(range(targets, width)), tuple(range(targets)), u, pattern)])
+            assert metrics(circuit).cnot_count <= lowered_cnot_bound(circuit)
+
+
+def test_budget_refuses_the_129_bus_ring_before_lowering(monkeypatch):
+    def never(circuit):
+        raise AssertionError("lowered past the CNOT budget")
+
+    monkeypatch.setattr(metrics_module, "lower_to_basis", never)
+    circuit, *_ = plan_hhl(benchmark_ring(129, 1007), HHLConfig(alpha=1))
+    message = f"circuit lowers to up to 286836804 CNOTs, over the {MAX_LOWERED_CNOTS}-CNOT limit"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        metrics(circuit)
+    # 65 buses at alpha = 1 (19,921,024 CNOTs when lowered) stay under it.
+    circuit, *_ = plan_hhl(benchmark_ring(65, 1006), HHLConfig(alpha=1))
+    assert lowered_cnot_bound(circuit) == 19_929_684 < MAX_LOWERED_CNOTS == 5 * 10**7
+
+
+def test_budget_admits_a_bound_equal_to_it(wscc9_system, monkeypatch):
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=3))
+    monkeypatch.setattr(metrics_module, "MAX_LOWERED_CNOTS", 14120)
+    assert metrics(circuit).cnot_count == 14108
+    monkeypatch.setattr(metrics_module, "MAX_LOWERED_CNOTS", 14119)
+    with pytest.raises(InputError, match="up to 14120 CNOTs, over the 14119-CNOT limit"):
+        metrics(circuit)

@@ -329,21 +329,21 @@ class TestValidation:
         assert len(calls) == 1
 
     def test_plans_check_only_the_matrices_they_build(self, wscc9_system, rng, monkeypatch):
-        # One check per controlled evolution (alpha of them, dense) and per
-        # QFT phase (alpha (alpha - 1) / 2); lowering and counting make none.
+        # One check of the eigenbasis for all alpha controlled evolutions, and one
+        # per QFT phase (alpha (alpha - 1) / 2); lowering and counting make none.
         calls = []
         check = circuit_module._check_unitary
         monkeypatch.setattr(
             circuit_module, "_check_unitary", lambda *a: calls.append(a) or check(*a)
         )
         circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
-        assert len(calls) == 15
+        assert len(calls) == 11
         assert metrics(circuit).cnot_count == 23550
-        assert len(calls) == 15
+        assert len(calls) == 11
         calls.clear()
         plan_hhl(exact_grid_system(rng, 256, 7), HHLConfig(alpha=7))
-        dims = [dim for _, dim in calls]
-        assert (len(dims), dims.count(256), dims.count(2)) == (28, 7, 21)
+        dims = [call[1] for call in calls]
+        assert (len(dims), dims.count(256), dims.count(2)) == (22, 1, 21)
 
     def test_wscc9_metrics_check_few_gates(self, wscc9_system, monkeypatch):
         # Lowering makes each repeated multi-controlled sub-block once per

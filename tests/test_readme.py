@@ -24,7 +24,8 @@ from qpf.complexity import CROSSOVER_SAMPLES, MAX_SWEEP_STEPS, SEARCH_RANGE
 from qpf.errors import InputError
 from qpf.grid import parse_network
 from qpf.qsim import Circuit, Cnot, ControlledUnitary, UniformlyControlledRy, dump, h, ry
-from qpf.qsim.circuit import MAX_QUBITS, UNITARY_TOL
+from qpf.qsim.circuit import _MAX_BASIS_CHECKED_DIM, MAX_QUBITS, UNITARY_TOL
+from qpf.qsim.metrics import MAX_LOWERED_CNOTS
 from qpf.qsim.simulate import MIN_POST_SELECT_PROB
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +127,9 @@ def test_stated_limits_are_the_codes():
         f"probability below {MIN_POST_SELECT_PROB:g}",
         f"{CROSSOVER_SAMPLES}-point log grid over n ∈ [{lo:g}, 1e{round(math.log10(hi))}]",
         f"`steps` in [1, 10^{round(math.log10(MAX_SWEEP_STEPS))}]",
+        f"`qpf.qsim.metrics.MAX_LOWERED_CNOTS` = {MAX_LOWERED_CNOTS // 10**7}·10^7",
+        f"up to 2^β = {_MAX_BASIS_CHECKED_DIM} dimensions, "
+        f"‖VᵀV − I‖_max ≤ {UNITARY_TOL:g}/(4·2^β)",
     ]:
         assert phrase in text
 
