@@ -22,7 +22,10 @@ Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
 benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
 median and minimum of one cycle and the median per ``run_hhl`` call are printed.
 Then the cost of one named-gate constructor: the best of ``--repeats`` runs of
-100,000 ``rz(1, 0.3)`` and of 100,000 ``h(1)`` calls, in microseconds per call.
+100,000 ``rz(1, 0.3)`` and of 100,000 ``h(1)`` calls, in microseconds per call,
+and the memory one ``rz`` gate holds: the bytes tracemalloc sees allocated by
+10,000 ``rz(1, 0.3)`` calls into a list made beforehand, per call, after a first
+10,000 calls kept alive have emptied the free lists.
 """
 
 import os
@@ -35,6 +38,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -95,6 +99,22 @@ def us_per_call(make, repeats: int, number: int = 100_000) -> float:
     return min(timeit.repeat(make, number=number, repeat=repeats)) / number * 1e6
 
 
+def bytes_per_call(make, number: int = 10_000) -> float:
+    """Bytes that tracemalloc sees held by ``number`` results of ``make``, per call;
+    the list holding them is made before tracing starts."""
+    # Kept alive, a first batch takes what the interpreter's free lists hold, which
+    # the traced calls would otherwise reuse unseen.
+    warm = [make() for _ in range(number)]  # noqa: F841
+    held = [None] * number
+    tracemalloc.start()
+    try:
+        for i in range(number):
+            held[i] = make()
+        return tracemalloc.get_traced_memory()[0] / number
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -126,7 +146,8 @@ def main() -> None:
     print(f"wscc9 run_hhl alpha 3..6 cycle median {median:.4f} s "
           f"min {min(cycle_times):.4f} s  per call {median / len(configs):.4f} s")
     print(f"named gate constructor rz() {us_per_call(lambda: rz(1, 0.3), args.repeats):.3f} us "
-          f"h() {us_per_call(lambda: h(1), args.repeats):.3f} us")
+          f"h() {us_per_call(lambda: h(1), args.repeats):.3f} us  "
+          f"rz() holds {bytes_per_call(lambda: rz(1, 0.3)):.0f} B")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
 checked them; so every stored circuit is well-formed by construction.  A
 named gate builds its matrix only when ``u`` is first read, so lowering and
-counting, which never read it, build none.
+counting, which never read it, build none.  ``SingleQubit``, made per lowered
+gate, writes its checked fields into its instance ``__dict__``, as
+``_unchecked`` does, rather than through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ _NAMED = {
     "RZ": (1, _rz_matrix),
     "P": (1, lambda phi: np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)),
 }
+# The label each angle check names, made once rather than per gate.
+_ANGLE_LABELS = {name: f"{name} angle" for name in _NAMED}
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -135,7 +139,9 @@ class SingleQubit(Gate):
     any other name builds ``u`` from its params on first read, and a matrix
     given with it is rejected: H and X take no params, RY, RZ and P one finite
     real angle.  A named gate is made with ``u`` unset; ``u`` has no default,
-    so no class attribute keeps its first read from ``__getattr__``.
+    so no class attribute keeps its first read from ``__getattr__``.  The
+    fields are written into ``self.__dict__`` once the checks pass; assigning
+    one afterwards still raises ``FrozenInstanceError``.
     """
 
     target: int
@@ -152,15 +158,16 @@ class SingleQubit(Gate):
         if len(params) != n_params:
             raise InputError(f"{name} takes {n_params} params, got {len(params)}")
         if n_params:
-            as_real(params[0], f"{name} angle")
-        object.__setattr__(self, "target", target)
+            as_real(params[0], _ANGLE_LABELS[name])
+        fields = self.__dict__
+        fields["target"] = target
         if build is None:
             _check_unitary(u, 2)
-            object.__setattr__(self, "u", u)
+            fields["u"] = u
         elif u is not None:
             raise InputError(f"{name} builds its own matrix; only U takes one")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
+        fields["name"] = name
+        fields["params"] = params
 
     def __getattr__(self, attr: str):
         # Only for attributes not held: ``u`` of a named gate before its first read.

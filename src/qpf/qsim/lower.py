@@ -13,6 +13,8 @@ counts; correctness (unitary equivalence to 1e-8) is the contract.
 
 Lowering is pure, so within one ``lower_to_basis`` call each repeated
 multi-controlled sub-block is lowered once and its gate objects are shared.
+Each helper appends its gates straight to the output circuit's gate list,
+in order, instead of returning a list for its caller to copy.
 The square roots the recursion reads are taken in stacks, one level at a
 time, each bit for bit its matrix's own root: lowering wscc9 at alpha = 5 makes
 20 ``np.linalg.eig`` calls (``scripts/time_metrics.py``, column ``eig calls``).
@@ -56,6 +58,7 @@ class _Memo:
     length; ``sqrt`` maps the bytes of each 2x2 whose root ``_mc_ones`` reads
     for the gate being lowered to that root (see ``_root_chains``);
     ``invert``, ``x`` and ``cnot`` cache ``Gate.inverse``, ``x`` and ``Cnot``.
+    An ``mc_ones`` block is the only sequence built apart from the output list.
     """
 
     def __init__(self) -> None:
@@ -88,9 +91,9 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
         elif isinstance(gate, Cnot):
             gates.append(memo.cnot(gate.control, gate.target))
         elif isinstance(gate, UniformlyControlledRy):
-            gates.extend(_lower_ucry(gate, memo))
+            _lower_ucry(gate, memo, gates)
         else:  # a ControlledUnitary: Circuit.append refuses any other kind
-            gates.extend(_lower_cu(gate, memo))
+            _lower_cu(gate, memo, gates)
     return out
 
 
@@ -105,10 +108,11 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo) -> list[Gate]:
+def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> None:
     k = len(gate.controls)
     if k == 0:
-        return [ry(gate.target, float(gate.angles[0]))]
+        out.append(ry(gate.target, float(gate.angles[0])))
+        return
     size = 2**k
     # Ladder angles: theta = 2^-k * H * angles with H_ij = (-1)^(gray(i).j),
     # the sign read from one parity table over all j.
@@ -119,23 +123,22 @@ def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo) -> list[Gate]:
     theta = np.empty(size)
     for i in range(size):
         theta[i] = np.dot(1 - 2 * parity[_gray(i) & j], gate.angles) / size
-    gates: list[Gate] = []
     for i in range(size):
-        gates.append(ry(gate.target, float(theta[i])))
+        out.append(ry(gate.target, float(theta[i])))
         if i < size - 1:
             ctrl_bit = ((i + 1) & -(i + 1)).bit_length() - 1  # trailing zeros of i+1
         else:
             ctrl_bit = k - 1  # closing CNOT returns flip parity to zero
-        gates.append(memo.cnot(gate.controls[ctrl_bit], gate.target))
-    return gates
+        out.append(memo.cnot(gate.controls[ctrl_bit], gate.target))
 
 
 # -- controlled unitary ------------------------------------------------------
 
 
-def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
+def _lower_cu(gate: ControlledUnitary, memo: _Memo, out: list[Gate]) -> None:
     if not gate.controls and len(gate.targets) == 1:
-        return [_unchecked(SingleQubit, target=gate.targets[0], u=gate.u, name="U", params=())]
+        out.append(_unchecked(SingleQubit, target=gate.targets[0], u=gate.u, name="U", params=()))
+        return
     # Local register: targets first (low bits), controls above them, so the
     # gate is identity but on the 2^m basis states from pattern << m up, where
     # it acts as u: decomposing u alone and offsetting its indices suffices.
@@ -145,10 +148,8 @@ def _lower_cu(gate: ControlledUnitary, memo: _Memo) -> list[Gate]:
     # _mc_ones of a 2x2 under c >= 2 controls reads its root, whose own
     # _mc_ones under c - 1 controls reads the next, down to one control.
     memo.sqrt = _root_chains([_X, *(v for _, _, v in factors)], len(local) - 2)
-    gates: list[Gate] = []
     for i1, i2, v in factors:
-        gates.extend(_two_level_gates(base + i1, base + i2, v, local, memo))
-    return gates
+        _two_level_gates(base + i1, base + i2, v, local, memo, out)
 
 
 def _root_chains(mats: list[np.ndarray], depth: int) -> dict[bytes, np.ndarray]:
@@ -205,9 +206,10 @@ def _two_level_decompose(w: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
 
 
 def _two_level_gates(
-    i1: int, i2: int, v: np.ndarray, local: list[int], memo: _Memo
-) -> list[Gate]:
-    """Gates applying the 2x2 ``v`` on basis span {|i1>, |i2>}, i1 < i2, of the local bits."""
+    i1: int, i2: int, v: np.ndarray, local: list[int], memo: _Memo, out: list[Gate]
+) -> None:
+    """Appends to ``out`` the gates applying the 2x2 ``v`` on basis span
+    {|i1>, |i2>}, i1 < i2, of the local bits."""
     diff_bits = [b for b in range(len(local)) if (i1 ^ i2) >> b & 1]
     last = diff_bits[-1]
     # Walk |i1> to the neighbour of |i2> across the other differing bits: one
@@ -219,14 +221,18 @@ def _two_level_gates(
         state ^= 1 << b
     # Now state == i2 ^ (1 << last), and i1 < i2 sets bit ``last`` of i2, so v
     # acts on local bit ``last`` as is, with the other bits pinned to i2's.
-    gates: list[Gate] = []
+    extend = out.extend
     for wraps, core in [*steps, _on_bit(v, last, i2, local, memo)]:
-        gates += [*wraps, *core, *wraps]
+        extend(wraps)
+        extend(core)
+        extend(wraps)
     # Undo the walk: steps in reverse, each its own inverse read backwards.
     # An X is self-inverse, so a step's wraps reversed undo themselves.
     for wraps, core in reversed(steps):
-        gates += [*wraps[::-1], *memo.adjoint(core), *wraps[::-1]]
-    return gates
+        wraps.reverse()
+        extend(wraps)
+        extend(memo.adjoint(core))
+        extend(wraps)
 
 
 # -- multi-controlled single-qubit gates ------------------------------------
@@ -251,22 +257,24 @@ def _mc_ones(
 ) -> tuple[Gate, ...]:
     """2x2 ``u`` on ``target`` where every control reads 1, lowered once per memo."""
     key = (u.tobytes(), tuple(controls), target)
-    if key in memo.mc_ones:
-        return memo.mc_ones[key]
+    block = memo.mc_ones.get(key)
+    if block is not None:
+        return block
+    gates: list[Gate] = []
     if _is_identity(u):
-        gates = []
+        pass  # an identity lowers to no gates
     elif len(controls) == 1:
-        gates = _controlled_single(u, controls[0], target, memo)
+        _controlled_single(u, controls[0], target, memo, gates)
     else:
         v = memo.sqrt[key[0]]
-        c_last, rest = controls[-1], list(controls[:-1])
-        gates = _controlled_single(v, c_last, target, memo)
+        c_last, rest = controls[-1], controls[:-1]
+        _controlled_single(v, c_last, target, memo, gates)
         gates += _mc_ones(_X, rest, c_last, memo)
-        gates += _controlled_single(v.conj().T, c_last, target, memo)
+        _controlled_single(v.conj().T, c_last, target, memo, gates)
         gates += _mc_ones(_X, rest, c_last, memo)
         gates += _mc_ones(v, rest, target, memo)
-    memo.mc_ones[key] = tuple(gates)
-    return memo.mc_ones[key]
+    block = memo.mc_ones[key] = tuple(gates)
+    return block
 
 
 def _is_identity(u: np.ndarray) -> bool:
@@ -274,25 +282,28 @@ def _is_identity(u: np.ndarray) -> bool:
     return max(abs(a - 1), abs(b), abs(c), abs(d - 1)) < _ANGLE_TOL
 
 
-def _controlled_single(u: np.ndarray, control: int, target: int, memo: _Memo) -> list[Gate]:
-    """ABC identity: C-U = P(alpha)_c . A . CNOT . B . CNOT . C with ABC = I."""
+def _controlled_single(
+    u: np.ndarray, control: int, target: int, memo: _Memo, out: list[Gate]
+) -> None:
+    """Appends to ``out`` the ABC identity: C-U = P(alpha)_c . A . CNOT . B . CNOT . C
+    with ABC = I."""
     alpha, beta, gamma, delta = _zyz(u)
-    gates: list[Gate] = []
+    cnot = memo.cnot(control, target)
+    append = out.append
     if abs(delta - beta) > _ANGLE_TOL:
-        gates.append(rz(target, (delta - beta) / 2))
-    gates.append(memo.cnot(control, target))
+        append(rz(target, (delta - beta) / 2))
+    append(cnot)
     if abs(delta + beta) > _ANGLE_TOL:
-        gates.append(rz(target, -(delta + beta) / 2))
+        append(rz(target, -(delta + beta) / 2))
     if abs(gamma) > _ANGLE_TOL:
-        gates.append(ry(target, -gamma / 2))
-    gates.append(memo.cnot(control, target))
+        append(ry(target, -gamma / 2))
+    append(cnot)
     if abs(gamma) > _ANGLE_TOL:
-        gates.append(ry(target, gamma / 2))
+        append(ry(target, gamma / 2))
     if abs(beta) > _ANGLE_TOL:
-        gates.append(rz(target, beta))
+        append(rz(target, beta))
     if abs(alpha) > _ANGLE_TOL:
-        gates.append(phase(control, alpha))
-    return gates
+        append(phase(control, alpha))
 
 
 def _zyz(u: np.ndarray):
@@ -303,15 +314,18 @@ def _zyz(u: np.ndarray):
     # and fma(a.re, b.im, a.im b.re); Python's complex product rounds twice.  The
     # two differ on 605 of the 1,539 inputs of a wscc9 alpha = 5 lowering, and
     # the lowered dump's sha256 pins depend on this numpy product.
-    v = u * cmath.exp(-1j * alpha)
-    gamma = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < 1e-14:
-        beta, delta = 2.0 * cmath.phase(v[1, 1]), 0.0
-    elif abs(v[0, 0]) < 1e-14:
-        beta, delta = 2.0 * cmath.phase(v[1, 0]), 0.0
+    # tolist() then reads the product's entries once, as Python complexes, whose
+    # abs (hypot) and phase are numpy's.
+    (v00, _), (v10, v11) = (u * cmath.exp(-1j * alpha)).tolist()
+    r00, r10 = abs(v00), abs(v10)
+    gamma = 2.0 * math.atan2(r10, r00)
+    if r10 < 1e-14:
+        beta, delta = 2.0 * cmath.phase(v11), 0.0
+    elif r00 < 1e-14:
+        beta, delta = 2.0 * cmath.phase(v10), 0.0
     else:
-        beta = cmath.phase(v[1, 1]) + cmath.phase(v[1, 0])
-        delta = cmath.phase(v[1, 1]) - cmath.phase(v[1, 0])
+        p11, p10 = cmath.phase(v11), cmath.phase(v10)
+        beta, delta = p11 + p10, p11 - p10
     return alpha, beta, gamma, delta
 
 

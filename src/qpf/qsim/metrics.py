@@ -9,7 +9,8 @@ from qpf.qsim.circuit import Circuit, Cnot, ControlledUnitary, UniformlyControll
 from qpf.qsim.lower import lower_to_basis
 
 # The most CNOTs ``metrics`` lowers a circuit to, by ``lowered_cnot_bound``: about
-# 2.6 GiB of lowered gates at ~53 MiB per 10^6 CNOTs.
+# 2.3 GiB of lowered gates at ~47 MiB per 10^6 CNOTs, the growth of peak RSS that
+# ``metrics`` on a 33-bus ring at alpha = 1 (1.33e6 CNOTs) reads in a fresh process.
 MAX_LOWERED_CNOTS = 5 * 10**7
 
 

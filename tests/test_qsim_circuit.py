@@ -7,6 +7,7 @@ of ``controlled_evolutions`` are checked once, through their eigenbasis."""
 import copy
 import dataclasses
 import math
+import operator
 import re
 import warnings
 
@@ -243,14 +244,31 @@ _HELPERS = {"H": h, "X": x, "RY": ry, "RZ": rz, "P": phase}
     ("RZ", (None,), "RZ angle must be a real number, got NoneType"),
     ("RY", ("0.3",), "RY angle must be a real number"),
     ("P", (None,), "P angle must be a real number"),
+    # Rows a fast path keyed on the angle's type could get wrong: a bool is an
+    # int subclass, a numpy float a float subclass.
+    ("RZ", (True,), "RZ angle must be a real number, got bool"),
+    ("P", (False,), "P angle must be a real number, got bool"),
+    ("RZ", (np.float64(np.inf),), "non-finite RZ angle"),
+    ("RY", (np.float64(-np.inf),), "non-finite RY angle"),
+    ("P", (np.float64(np.nan),), "non-finite P angle"),
+    # None: the gate is made, its finite angle kept in params exactly as given.
+    ("RZ", (3,), None),
+    ("RY", (-(2**70),), None),
+    ("P", (np.float64(0.3),), None),
+    ("RZ", (np.float64(-1.7),), None),
 ])
 def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
-    with pytest.raises(InputError, match=message):
-        SingleQubit(0, None, name, params)
+    makers = [lambda: SingleQubit(0, None, name, params)]
     # The helper of a known name, given its param count, runs the same checks.
     if name in _HELPERS and len(params) == _NAMED[name][0]:
-        with pytest.raises(InputError, match=message):
-            _HELPERS[name](0, *params)
+        makers.append(lambda: _HELPERS[name](0, *params))
+    for make in makers:
+        if message is None:
+            made = make().params
+            assert len(made) == len(params) and all(map(operator.is_, made, params))
+        else:
+            with pytest.raises(InputError, match=message):
+                make()
 
 
 @pytest.mark.parametrize("angle", [
