@@ -9,8 +9,11 @@ directory and the draws come from the ``cost-model`` workload in
 ``perfbench/workloads.py`` (seed 1, 8 draws).  One pass runs, per draw,
 ``find_crossover``, ``sweep`` over the workload's range with 10,000 steps and
 ``sweep_csv`` on its rows, the library calls behind one ``cost-model``
-operation.  ``--repeats`` passes are timed, and the median and the minimum of
-each call's total over a pass are printed in milliseconds.  With ``--peak``,
+operation, then ``qpf.cli.main`` on the draw's ``crossover`` and ``sweep``
+argv with stdout captured, the calls the workload makes.  What ``cli sweep``
+takes over ``sweep`` + ``sweep_csv`` is the command-line layer's own cost.
+``--repeats`` passes are timed, and the median and the minimum of each call's
+total over a pass are printed in milliseconds.  With ``--peak``,
 the tracemalloc peak of ``sweep`` + ``sweep_csv`` at ``MAX_SWEEP_STEPS`` rows
 on the first draw is printed too, in MiB.
 """
@@ -21,6 +24,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -31,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402
+from qpf.cli import main as cli_main  # noqa: E402
 from qpf.complexity import (  # noqa: E402
     MAX_SWEEP_STEPS,
     ComplexityParams,
@@ -50,10 +56,22 @@ def model_args(params) -> tuple[ComplexityParams, ComplexityParams, float]:
             params.base_ratio)
 
 
-def one_pass(draws) -> dict[str, float]:
+def timed_cli(argv) -> float:
+    """Seconds one ``qpf.cli.main(argv)`` call takes, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli_main(argv)
+        elapsed = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"qpf {' '.join(argv)} exited {code}")
+    return elapsed
+
+
+def one_pass(draws, argvs) -> dict[str, float]:
     """Seconds spent in each call over one pass of every draw."""
-    totals = {"find_crossover": 0.0, "sweep": 0.0, "sweep_csv": 0.0}
-    for args in draws:
+    totals = {"find_crossover": 0.0, "sweep": 0.0, "sweep_csv": 0.0,
+              "cli crossover": 0.0, "cli sweep": 0.0}
+    for args, (crossover_argv, sweep_argv) in zip(draws, argvs):
         start = time.perf_counter()
         find_crossover(*args)
         mid = time.perf_counter()
@@ -63,6 +81,8 @@ def one_pass(draws) -> dict[str, float]:
         totals["find_crossover"] += mid - start
         totals["sweep"] += end - mid
         totals["sweep_csv"] += time.perf_counter() - end
+        totals["cli crossover"] += timed_cli(crossover_argv)
+        totals["cli sweep"] += timed_cli(sweep_argv)
     return totals
 
 
@@ -81,8 +101,9 @@ def main() -> None:
     parser.add_argument("--peak", action="store_true",
                         help="also print the tracemalloc peak at MAX_SWEEP_STEPS rows")
     args = parser.parse_args()
-    draws = [model_args(case.meta["params"]) for case in WORKLOAD.generate(1, ROOT)]
-    passes = [one_pass(draws) for _ in range(args.repeats)]
+    cases = WORKLOAD.generate(1, ROOT)
+    draws = [model_args(case.meta["params"]) for case in cases]
+    passes = [one_pass(draws, [case.inputs for case in cases]) for _ in range(args.repeats)]
     for name in passes[0]:
         times = [p[name] * 1e3 for p in passes]
         print(f"{name:15s} {len(draws)} draws  median {statistics.median(times):8.3f} ms  "

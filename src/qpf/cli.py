@@ -4,11 +4,16 @@ Subcommands: solve, stats, metrics, crossover, sweep.  Output is JSON by
 default (text/csv where noted) and deterministic for fixed inputs.  Exit
 codes: 0 success, 1 usage or input error, 2 numerical failure, 3
 post-selection failure.
+
+In process, ``main(argv)`` returns the exit code and builds its parser once
+per process; every later call only parses.  ``build_parser()`` returns a
+fresh parser on every call, so editing one does not change what ``main`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -32,6 +37,10 @@ from qpf.grid import (
 )
 from qpf.hhl import HHLConfig, plan_hhl, run_hhl
 from qpf.qsim import metrics as circuit_metrics
+
+# `qpf --help` shows the docstring without its last paragraph, which is for
+# in-process callers.
+_DESCRIPTION = __doc__.rsplit("\n\n", 1)[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +75,8 @@ def _complexity_args(parser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="qpf", description=__doc__)
+    """A fresh ``qpf`` parser; ``main`` builds one per process and reuses it."""
+    parser = _Parser(prog="qpf", description=_DESCRIPTION)
     parser.add_argument("--verbose", action="store_true",
                         help="print version banner to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,6 +112,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Reads the module-global `build_parser`, so a patched one is what gets cached.
+    return build_parser()
+
+
 def _load(args) -> Network:
     if args.fixture is not None:
         return load_fixture(args.fixture)
@@ -110,7 +126,11 @@ def _load(args) -> Network:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8")
+        except ValueError as exc:  # a NUL in the path
+            raise InputError(f"cannot write {args.out!r}: {exc}") from exc
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -241,9 +261,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.verbose:
             print(f"qpf {__version__}", file=sys.stderr)
         _emit(args, _COMMANDS[args.command](args))

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import qpf.cli as cli
 import qpf.hhl as hhl_module
-from qpf.cli import main
+from qpf.cli import build_parser, main
 from qpf.grid import build_reduced_system, load_network
 from qpf.hhl import HHLConfig, run_hhl
 
@@ -387,6 +388,13 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_out_path_with_nul_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "crossover", "--out", "a\x00b")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "\x00" not in err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
@@ -412,3 +420,57 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "classical"
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_shared_parser_answers_every_call_alike(capsys, tmp_path, fresh_parser):
+    sequence = [
+        ["crossover", "--bogus"],
+        ["--verbose", "crossover"],
+        ["sweep"],
+        ["metrics", "--fixture", "wscc9", "--alpha", "3"],
+        ["sweep", "--out", str(tmp_path / "missing" / "rows.csv")],
+        ["crossover", "--out", "a\x00b"],
+    ]
+
+    def run_all():
+        return [run_cli(capsys, *argv) for argv in sequence]
+
+    first = run_all()
+    assert [code for code, _, _ in first] == [1, 0, 0, 0, 1, 1]
+    assert run_all() == first
+    cli._parser.cache_clear()
+    assert run_all() == first
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for argv in (["crossover"], ["sweep", "--steps", "3"], ["frobnicate"], ["crossover"]):
+        run_cli(capsys, *argv)
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser(capsys, fresh_parser):
+    edited = build_parser()
+    assert edited is not build_parser()
+    edited.set_defaults(verbose=True)
+    code, _, err = run_cli(capsys, "crossover")
+    assert code == 0 and err == ""
+
+
+def test_sweep_range_default_survives_a_sweep(capsys):
+    assert run_cli(capsys, "sweep", "--steps", "2")[0] == 0
+    default = cli._parser().parse_args(["sweep"]).range
+    assert isinstance(default, list) and default == [10.0, 2000.0]

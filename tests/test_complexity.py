@@ -480,7 +480,7 @@ def test_time_cost_model_script_runs():
     done = subprocess.run([sys.executable, str(script), "--repeats", "1", "--peak"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("8 draws") == 3
+    assert done.stdout.count("8 draws") == 5  # three library calls, two `qpf` calls
     # The 10^6-row table is 24 MB of floats (as float tuples, the peak is about 180 MiB).
     peak = re.search(r"^sweep \+ sweep_csv at 1000000 steps: tracemalloc peak ([\d.]+) MiB$",
                      done.stdout, re.M)
