@@ -12,10 +12,11 @@ alpha = 7, as ``grid-scale-sim`` runs them.  BLAS runs on one thread.
 For each ring the HHL circuit is planned once.  Its gates are grouped by kind
 (a named one-qubit gate by its name, ``CNOT``, ``CU`` with its matrix
 dimension, ``UCRY``), and each group, in circuit order, is run alone by
-``apply_circuit`` on a uniform state.  Then ``build_qpe`` on the ring's
-eigendecomposition and ``plan_hhl`` followed by ``apply_circuit`` of the
-whole circuit are timed.  Every line prints the median of ``--repeats`` runs
-in milliseconds.
+``apply_circuit`` on a uniform state, which leaves no qubit idle.  Then
+``build_qpe`` on the ring's eigendecomposition, ``apply_circuit`` of the whole
+planned circuit from |0...0> (where the clock and ancilla start idle) and
+``plan_hhl`` followed by that ``apply_circuit`` are timed.  Every line prints
+the median of ``--repeats`` runs in milliseconds.
 """
 
 import os
@@ -83,6 +84,8 @@ def main() -> None:
         scaling = choose_scaling(eig, ALPHA)
         ms = median_ms(lambda: build_qpe(eig, scaling), args.repeats)
         print(f"  build_qpe                       {ms:8.3f} ms")
+        ms = median_ms(lambda: apply_circuit(zero_state(width), circuit), args.repeats)
+        print(f"  apply_circuit from |0...0>      {ms:8.3f} ms")
 
         def plan_and_simulate():
             planned, *_ = plan_hhl(system, config)

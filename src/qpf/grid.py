@@ -173,7 +173,7 @@ def load_network(path: str | Path) -> Network:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or text not UTF-8
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {os.fspath(path)!r}: {exc}") from exc
     return parse_network(text)
 
 

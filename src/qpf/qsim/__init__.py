@@ -16,7 +16,7 @@ from qpf.qsim.circuit import (
     rz,
     x,
 )
-from qpf.qsim.lower import is_lowered, lower_to_basis
+from qpf.qsim.lower import lower_to_basis
 from qpf.qsim.metrics import CircuitMetrics, metrics
 from qpf.qsim.prepare import prepare_state
 from qpf.qsim.simulate import (
@@ -39,7 +39,6 @@ __all__ = [
     "controlled_evolutions",
     "dump",
     "h",
-    "is_lowered",
     "lower_to_basis",
     "metrics",
     "phase",

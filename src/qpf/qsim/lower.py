@@ -97,10 +97,6 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
     return out
 
 
-def is_lowered(circuit: Circuit) -> bool:
-    return all(isinstance(g, (SingleQubit, Cnot)) for g in circuit.gates)
-
-
 # -- uniformly controlled Ry -------------------------------------------------
 
 

@@ -12,6 +12,13 @@ the two target halves of its control-sliced view: a multiply per half whose
 factor is not 1, after a swap through a scratch buffer if anti-diagonal.
 Every other gate, H included, is gathered into a scratch buffer, multiplied
 as a batched matmul into the other and scattered back.
+
+A qubit is idle while no nonzero amplitude has its bit set: read once from
+the input, it stays idle until a gate targets it.  Each gate runs on the
+0-half of every idle qubit that is not one of its controls, since the
+1-half is zero before the gate and the gate leaves it zero.  So a circuit
+whose qubits are first touched late (HHL's clock and ancilla) multiplies
+only the part of the state that can be nonzero.
 """
 
 from __future__ import annotations
@@ -41,21 +48,28 @@ def _axis(num_qubits: int, qubit: int) -> int:
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Run every gate in order on one copy of ``state``, updated in place.
 
-    The two scratch buffers are made once per call: a fresh state-sized
-    temporary per gate costs a page fault per page.  InputError unless
-    ``state`` is 2^n finite numbers.
+    Each gate runs only on the 0-half of every qubit still idle (see the
+    module docstring): one whose bit no nonzero amplitude of ``state`` has
+    set and that no earlier gate targeted.  The two scratch buffers are made
+    once per call: a fresh state-sized temporary per gate costs a page fault
+    per page.  InputError unless ``state`` is 2^n finite numbers.
     """
     n = circuit.num_qubits
     out = np.array(as_array(state, "amplitude", 1, complex))
     if out.shape != (2**n,):
         raise InputError(f"state dimension {out.shape} != ({2**n},)")
     psi = out.reshape([2] * n)
+    # Per tensor axis, the part every gate works on: the 0-half of an idle
+    # qubit, all of a live one.  Slices, not ints, keep every axis: each
+    # selection below is a view, even one that fixes all n bits.
+    live = int(np.bitwise_or.reduce(np.flatnonzero(out)))
+    view = [slice(None) if live >> q & 1 else slice(0, 1) for q in reversed(range(n))]
     gathered, product = np.empty_like(out), np.empty_like(out)
     for gate in circuit.gates:
         controls, pattern, targets, u = gate.controlled_form()
-        # Slices, not ints, keep every axis: each selection below is a view,
-        # even one that fixes all n bits.
-        sel = [slice(None)] * n
+        for t in targets:
+            view[_axis(n, t)] = slice(None)
+        sel = view.copy()
         for i, c in enumerate(controls):
             bit = (pattern >> i) & 1
             sel[_axis(n, c)] = slice(bit, bit + 1)

@@ -96,6 +96,11 @@ def dense_circuit(circuit: Circuit) -> np.ndarray:
     return mat
 
 
+def is_lowered(circuit: Circuit) -> bool:
+    """True when every gate is a one-qubit gate or a CNOT."""
+    return all(isinstance(g, (SingleQubit, Cnot)) for g in circuit.gates)
+
+
 def gate_qubit_set(gate) -> set[int]:
     """Every qubit a gate touches, read off its own fields, not through the package."""
     qubits = {getattr(gate, name) for name in ("control", "target") if hasattr(gate, name)}

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_circuit, exact_grid_system, random_circuit
+from helpers import dense_circuit, exact_grid_system, is_lowered, random_circuit
 from qpf.complexity import (
     ComplexityParams,
     base_speed_ratio,
@@ -52,7 +52,6 @@ from qpf.hhl import (
 )
 from qpf.qsim import (
     apply_circuit,
-    is_lowered,
     lower_to_basis,
     metrics,
     prepare_state,

@@ -395,6 +395,14 @@ class TestErrorPaths:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "\x00" not in err
 
+    @pytest.mark.parametrize("path", ["a\x00b", "a\x1bb\n.json"])
+    def test_input_path_with_a_control_byte_is_quoted(self, capsys, path):
+        code, out, err = run_cli(capsys, "stats", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert not any(ord(ch) < 0x20 for ch in err[:-1])
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -284,7 +284,6 @@ EXEMPT = {
     "dump": "takes a Circuit; every gate row dumps one",
     "metrics": "takes a Circuit; every gate row counts one",
     "lower_to_basis": "takes a Circuit; every gate row counts one through metrics",
-    "is_lowered": "takes a Circuit and reads only gate types",
 }
 
 

@@ -9,6 +9,7 @@ from helpers import (
     count_named_builds,
     dense_circuit,
     gate_qubit_set,
+    is_lowered,
     random_circuit,
     random_unitary,
     sqrt_2x2_alone,
@@ -22,7 +23,6 @@ from qpf.qsim import (
     UniformlyControlledRy,
     dump,
     h,
-    is_lowered,
     lower_to_basis,
     metrics,
     ry,

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import qpf.qsim.circuit as circuit_module
-from helpers import dense_circuit, exact_grid_system, random_circuit, random_unitary
+from helpers import (
+    benchmark_ring,
+    dense_circuit,
+    exact_grid_system,
+    random_circuit,
+    random_unitary,
+)
 from qpf.errors import InputError, PostSelectionError
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
@@ -113,6 +119,76 @@ def test_matches_dense_oracle(rng, n):
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
+def _partly_idle_state(rng, n: int) -> tuple[np.ndarray, int]:
+    """A random unit state on a random subset of the n qubits (bit q of the
+    returned mask set when qubit q is in it), |0> on the rest."""
+    live = int(rng.integers(0, 2**n))
+    on = [i for i in range(2**n) if i & ~live == 0]
+    state = np.zeros(2**n, dtype=complex)
+    state[on] = rng.normal(size=len(on)) + 1j * rng.normal(size=len(on))
+    return state / np.linalg.norm(state), live
+
+
+def _gates_on_idle_controls(rng, n: int, live: int) -> list:
+    """Gates of every controlled kind whose controls include a qubit outside
+    ``live``, on patterns that read it as 0 and as 1."""
+    gates = []
+    for c in (q for q in range(n) if not live >> q & 1):
+        others = [int(q) for q in rng.permutation(n) if q != c]
+        if not others:
+            continue
+        t, controls = others[0], (c, *others[1:])
+        gates += [ControlledUnitary((c,), (t,), random_unitary(rng, 2), pattern)
+                  for pattern in (0, 1)]
+        pattern = int(rng.integers(0, 2 ** len(controls)))
+        gates += [
+            Cnot(c, t),
+            ControlledUnitary(controls, (t,), random_unitary(rng, 2), pattern),
+            UniformlyControlledRy(controls, t, rng.uniform(-np.pi, np.pi, 2 ** len(controls))),
+        ]
+    return [gates[i] for i in rng.permutation(len(gates))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partly_idle_states_match_dense_oracle(rng, n):
+    # Qubits the input holds at |0> run on their 0-half until a gate targets
+    # them; gates controlled by them still fire on a 0 pattern bit only.
+    for _ in range(12):
+        state, live = _partly_idle_state(rng, n)
+        circuit = Circuit(n, _gates_on_idle_controls(rng, n, live))
+        circuit.extend(random_circuit(rng, n, length=6).gates)
+        fast = apply_circuit(state, circuit)
+        slow = dense_circuit(circuit) @ state
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def test_a_qubit_with_a_tiny_amplitude_stays_live():
+    # Qubit 1's 1-half holds only 1e-300: H on qubit 0 must still act there.
+    state = np.array([1, 0, 1e-300, 0], dtype=complex)
+    circuit = Circuit(2, [h(0)])
+    out = apply_circuit(state, circuit)
+    assert out[0b11] != 0
+    np.testing.assert_allclose(out, dense_circuit(circuit) @ state, rtol=1e-12, atol=0)
+
+
+def test_forward_evolutions_run_on_half_the_state(monkeypatch):
+    # 257-bus ring, alpha = 7: 8 solution qubits, 7 clock qubits, 1 ancilla.
+    # Each evolution's control halves the 2^16 state to 128 columns of 256;
+    # in the forward QPE the untouched ancilla halves it again.
+    circuit, *_ = plan_hhl(benchmark_ring(257, 1008), HHLConfig(alpha=7))
+    shapes = []
+    matmul = np.matmul
+
+    def spy(u, x, **kwargs):
+        if u.shape == (256, 256):
+            shapes.append(x.shape)
+        return matmul(u, x, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    apply_circuit(zero_state(circuit.num_qubits), circuit)
+    assert shapes == [(1, 256, 64)] * 7 + [(1, 256, 128)] * 7
+
+
 def _sparse_gates(rng, n: int) -> list:
     """Gates whose matrix is an exact 2x2 diagonal or anti-diagonal, on each
     qubit of an n-qubit register; the ``ControlledUnitary``s are controlled by
@@ -176,6 +252,7 @@ def test_time_simulate_script_runs():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("plan_hhl + apply_circuit") == 3
+    assert done.stdout.count("apply_circuit from |0...0>") == 3
 
 
 def test_apply_circuit_preserves_norm(rng):
