@@ -13,7 +13,11 @@ ring, ``perfbench/oracles.py``) plans its circuit once, then times
 the minimum of each in seconds, so the lowering and the walk read apart,
 then the number of distinct gate objects (by ``id``) in one lowered circuit,
 split into named ``SingleQubit``s and ``Cnot``s, and the number of
-``np.linalg.eig`` calls (square-root levels) in one lowering.
+``np.linalg.eig`` calls (square-root levels) in one lowering.  Two layers of
+the lowering are then timed apart, ``--repeats`` times each, by calling its
+helpers on the planned gates: ``decompose`` (``_decompose_all``, one
+``_two_level_decompose`` per controlled unitary) and ``roots``
+(``_root_chains`` of the factors it returns); their medians are printed, in milliseconds.
 Each planning case times ``plan_hhl`` (pad, eigendecompose, scale, build)
 ``--repeats`` times and prints its median and minimum; the 257-bus ring is
 ``grid-scale-sim``'s largest case at benchmark seed 1 (network seed 1008),
@@ -21,11 +25,6 @@ and the 200-bus ring of the same seed (n = 199) pads to the same 16 qubits.
 Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
 benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
 median and minimum of one cycle and the median per ``run_hhl`` call are printed.
-Then the cost of one named-gate constructor: the best of ``--repeats`` runs of
-100,000 ``rz(1, 0.3)`` and of 100,000 ``h(1)`` calls, in microseconds per call,
-and the memory one ``rz`` gate holds: the bytes tracemalloc sees allocated by
-10,000 ``rz(1, 0.3)`` calls into a list made beforehand, per call, after a first
-10,000 calls kept alive have emptied the free lists.
 """
 
 import os
@@ -37,8 +36,6 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-import timeit  # noqa: E402
-import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -51,7 +48,8 @@ import netgen  # noqa: E402
 import oracles  # noqa: E402
 from qpf.grid import build_reduced_system, load_fixture, network_from_dict  # noqa: E402
 from qpf.hhl import HHLConfig, plan_hhl, run_hhl  # noqa: E402
-from qpf.qsim import Cnot, SingleQubit, h, lower_to_basis, metrics, rz  # noqa: E402
+from qpf.qsim import Cnot, SingleQubit, lower_to_basis, metrics  # noqa: E402
+from qpf.qsim.lower import _decompose_all, _root_chains  # noqa: E402
 
 
 def ring(buses: int, seed: int = oracles.RING17_SEED):
@@ -94,25 +92,13 @@ def eig_calls(circuit) -> int:
     return eig.call_count
 
 
-def us_per_call(make, repeats: int, number: int = 100_000) -> float:
-    """Best of ``repeats`` runs of ``number`` calls of ``make``, in µs per call."""
-    return min(timeit.repeat(make, number=number, repeat=repeats)) / number * 1e6
-
-
-def bytes_per_call(make, number: int = 10_000) -> float:
-    """Bytes that tracemalloc sees held by ``number`` results of ``make``, per call;
-    the list holding them is made before tracing starts."""
-    # Kept alive, a first batch takes what the interpreter's free lists hold, which
-    # the traced calls would otherwise reuse unseen.
-    warm = [make() for _ in range(number)]  # noqa: F841
-    held = [None] * number
-    tracemalloc.start()
-    try:
-        for i in range(number):
-            held[i] = make()
-        return tracemalloc.get_traced_memory()[0] / number
-    finally:
-        tracemalloc.stop()
+def lowering_layers(circuit, repeats: int) -> str:
+    """Median seconds of ``_decompose_all`` and of ``_root_chains`` on ``circuit``."""
+    decompose = [timed(_decompose_all, circuit.gates) for _ in range(repeats)]
+    _, rooted, depth = decompose[0][1]
+    roots = [timed(lambda mats: _root_chains(mats, depth), rooted)[0] for _ in range(repeats)]
+    return (f"decompose {statistics.median(t for t, _ in decompose) * 1e3:.2f} ms "
+            f"roots {statistics.median(roots) * 1e3:.2f} ms")
 
 
 def main() -> None:
@@ -131,7 +117,7 @@ def main() -> None:
               f"min {min(lower_times):.3f} s  "
               f"metrics median {statistics.median(metrics_times):.3f} s "
               f"min {min(metrics_times):.3f} s  {distinct_gates(circuit)}  "
-              f"eig calls {eig_calls(circuit)}")
+              f"eig calls {eig_calls(circuit)}  {lowering_layers(circuit, args.repeats)}")
     for name, (make_network, alpha) in PLAN_CASES.items():
         system, config = build_reduced_system(make_network()), HHLConfig(alpha=alpha)
         plan_times = [timed(lambda s: plan_hhl(s, config), system)[0]
@@ -145,9 +131,6 @@ def main() -> None:
     median = statistics.median(cycle_times)
     print(f"wscc9 run_hhl alpha 3..6 cycle median {median:.4f} s "
           f"min {min(cycle_times):.4f} s  per call {median / len(configs):.4f} s")
-    print(f"named gate constructor rz() {us_per_call(lambda: rz(1, 0.3), args.repeats):.3f} us "
-          f"h() {us_per_call(lambda: h(1), args.repeats):.3f} us  "
-          f"rz() holds {bytes_per_call(lambda: rz(1, 0.3)):.0f} B")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ width.  ``lower_to_basis`` splices lowered blocks into the list without that
 check, since each lies on the qubits of an input gate whose circuit already
 checked them; so every stored circuit is well-formed by construction.  A
 named gate builds its matrix only when ``u`` is first read, so lowering and
-counting, which never read it, build none.  ``SingleQubit``, made per lowered
-gate, writes its checked fields into its instance ``__dict__``, as
-``_unchecked`` does, rather than through ``object.__setattr__``.
+counting, which never read it, build none.  ``SingleQubit`` writes its checked
+fields into its instance ``__dict__``, as ``_unchecked`` does, rather than
+through ``object.__setattr__``; the RY, RZ and P gates that lowering makes, and
+every named inverse, come from ``_rotation``, which writes the same fields
+after one finiteness check of the angle.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class SingleQubit(Gate):
             return _adjoint(self)
         if not self.params:
             return self  # H and X are self-inverse
-        return SingleQubit(self.target, None, self.name, (-self.params[0],))
+        return _rotation(self.name, self.target, -self.params[0])
 
     def dump_line(self) -> str:
         if self.name == "U":
@@ -354,6 +356,19 @@ def rz(target: int, theta: float) -> SingleQubit:
 
 def phase(target: int, phi: float) -> SingleQubit:
     return SingleQubit(target, None, "P", (phi,))
+
+
+def _rotation(name: str, target: int, angle: float) -> SingleQubit:
+    """``ry``, ``rz`` or ``phase`` (by ``name``) on a checked ``target``, made as
+    ``SingleQubit.__init__`` makes it, fields in its order, but checking only
+    ``angle``, by the same ``as_real`` call."""
+    as_real(angle, _ANGLE_LABELS[name])
+    gate = object.__new__(SingleQubit)
+    fields = gate.__dict__
+    fields["target"] = target
+    fields["name"] = name
+    fields["params"] = (angle,)
+    return gate
 
 
 @dataclass

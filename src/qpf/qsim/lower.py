@@ -15,9 +15,12 @@ Lowering is pure, so within one ``lower_to_basis`` call each repeated
 multi-controlled sub-block is lowered once and its gate objects are shared.
 Each helper appends its gates straight to the output circuit's gate list,
 in order, instead of returning a list for its caller to copy.
-The square roots the recursion reads are taken in stacks, one level at a
-time, each bit for bit its matrix's own root: lowering wscc9 at alpha = 5 makes
-20 ``np.linalg.eig`` calls (``scripts/time_metrics.py``, column ``eig calls``).
+Every ControlledUnitary is decomposed before any gate is emitted, so the
+square roots the recursion reads are taken for the whole circuit in one pass
+of stacks, one per level, each bit for bit its matrix's own root: lowering
+wscc9 at alpha = 5 makes 2 ``np.linalg.eig`` calls (``scripts/time_metrics.py``,
+column ``eig calls``).  Lowered RY, RZ and P gates are made by
+``circuit._rotation``, which checks only that the angle is finite.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ from qpf.qsim.circuit import (
     Gate,
     SingleQubit,
     UniformlyControlledRy,
+    _rotation,
     _unchecked,
-    phase,
-    ry,
-    rz,
     x,
 )
 
@@ -56,14 +57,14 @@ class _Memo:
     caller; ``adjoints`` maps the id of such a tuple (kept alive by
     ``mc_ones``) to its adjoint block, since hashing the tuple would cost its
     length; ``sqrt`` maps the bytes of each 2x2 whose root ``_mc_ones`` reads
-    for the gate being lowered to that root (see ``_root_chains``);
+    anywhere in the circuit to that root (see ``_root_chains``);
     ``invert``, ``x`` and ``cnot`` cache ``Gate.inverse``, ``x`` and ``Cnot``.
     An ``mc_ones`` block is the only sequence built apart from the output list.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sqrt: dict[bytes, np.ndarray]) -> None:
         self.mc_ones: dict[tuple, tuple[Gate, ...]] = {}
-        self.sqrt: dict[bytes, np.ndarray] = {}
+        self.sqrt = sqrt
         self.adjoints: dict[int, tuple[Gate, ...]] = {}
         self.invert = functools.cache(operator.methodcaller("inverse"))
         self.x = functools.cache(x)
@@ -79,8 +80,9 @@ class _Memo:
 
 def lower_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite a circuit using only Cnot and SingleQubit gates."""
+    factors, rooted, depth = _decompose_all(circuit.gates)
+    memo = _Memo(_root_chains(rooted, depth))
     out = Circuit(circuit.num_qubits)
-    memo = _Memo()
     # Every gate lowered from an input gate lies on that gate's qubits, which
     # the input circuit already range-checked, so blocks are spliced into
     # out.gates without Circuit.append's per-gate width check.
@@ -92,9 +94,31 @@ def lower_to_basis(circuit: Circuit) -> Circuit:
             gates.append(memo.cnot(gate.control, gate.target))
         elif isinstance(gate, UniformlyControlledRy):
             _lower_ucry(gate, memo, gates)
-        else:  # a ControlledUnitary: Circuit.append refuses any other kind
-            _lower_cu(gate, memo, gates)
+        elif id(gate) in factors:
+            _lower_cu(gate, factors[id(gate)], memo, gates)
+        else:  # a basis U: Circuit.append refuses any other kind
+            gates.append(_unchecked(SingleQubit, target=gate.targets[0], u=gate.u,
+                                    name="U", params=()))
     return out
+
+
+def _decompose_all(gates: list[Gate]) -> tuple[dict[int, list], list[np.ndarray], int]:
+    """The two-level factors of each ControlledUnitary but a basis U, by id;
+    X and every factor whose root ``_mc_ones`` reads; and the chain depth.
+
+    Decomposing every gate first lets the roots of the whole circuit be taken
+    in one pass.  ``_mc_ones`` of a 2x2 under c >= 2 controls reads its root,
+    whose own ``_mc_ones`` under c - 1 controls reads the next, down to one
+    control: on q qubits, chains q - 2 deep.
+    """
+    factors, rooted, depth = {}, [_X], 0
+    for g in gates:
+        if isinstance(g, ControlledUnitary) and len(g.qubits) > 1:
+            factors[id(g)] = _two_level_decompose(g.u)
+            if len(g.qubits) > 2:
+                rooted += [v for _, _, v in factors[id(g)]]
+                depth = max(depth, len(g.qubits) - 2)
+    return factors, rooted, depth
 
 
 # -- uniformly controlled Ry -------------------------------------------------
@@ -107,7 +131,7 @@ def _gray(i: int) -> int:
 def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> None:
     k = len(gate.controls)
     if k == 0:
-        out.append(ry(gate.target, float(gate.angles[0])))
+        out.append(_rotation("RY", gate.target, float(gate.angles[0])))
         return
     size = 2**k
     # Ladder angles: theta = 2^-k * H * angles with H_ij = (-1)^(gray(i).j),
@@ -120,7 +144,7 @@ def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> No
     for i in range(size):
         theta[i] = np.dot(1 - 2 * parity[_gray(i) & j], gate.angles) / size
     for i in range(size):
-        out.append(ry(gate.target, float(theta[i])))
+        out.append(_rotation("RY", gate.target, float(theta[i])))
         if i < size - 1:
             ctrl_bit = ((i + 1) & -(i + 1)).bit_length() - 1  # trailing zeros of i+1
         else:
@@ -131,19 +155,12 @@ def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> No
 # -- controlled unitary ------------------------------------------------------
 
 
-def _lower_cu(gate: ControlledUnitary, memo: _Memo, out: list[Gate]) -> None:
-    if not gate.controls and len(gate.targets) == 1:
-        out.append(_unchecked(SingleQubit, target=gate.targets[0], u=gate.u, name="U", params=()))
-        return
+def _lower_cu(gate: ControlledUnitary, factors: list, memo: _Memo, out: list[Gate]) -> None:
     # Local register: targets first (low bits), controls above them, so the
     # gate is identity but on the 2^m basis states from pattern << m up, where
     # it acts as u: decomposing u alone and offsetting its indices suffices.
     local = list(gate.targets) + list(gate.controls)
     base = gate.pattern << len(gate.targets)
-    factors = _two_level_decompose(gate.u)
-    # _mc_ones of a 2x2 under c >= 2 controls reads its root, whose own
-    # _mc_ones under c - 1 controls reads the next, down to one control.
-    memo.sqrt = _root_chains([_X, *(v for _, _, v in factors)], len(local) - 2)
     for i1, i2, v in factors:
         _two_level_gates(base + i1, base + i2, v, local, memo, out)
 
@@ -178,18 +195,17 @@ def _two_level_decompose(w: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     a = np.array(w, dtype=complex)
     dim = len(a)
     adjoints = []
+    g = np.empty((2, 2), dtype=complex)  # refilled per step; each adjoint is a copy
     for col in range(dim - 1):
         for row in range(dim - 1, col, -1):
             if abs(a[row, col]) <= _ELIM_TOL:
                 continue
             pivot, below = a[col, col], a[row, col]
             norm = math.hypot(abs(pivot), abs(below))
-            g = np.array(
-                [[pivot.conjugate() / norm, below.conjugate() / norm],
-                 [-below / norm, pivot / norm]],
-                dtype=complex,
-            )
-            a[[col, row], :] = g @ a[[col, row], :]
+            g[0, 0], g[0, 1] = pivot.conjugate() / norm, below.conjugate() / norm
+            g[1, 0], g[1, 1] = -below / norm, pivot / norm
+            pair = a[col : row + 1 : row - col]  # rows col and row, a view
+            pair[...] = g @ pair
             adjoints.append((col, row, g.conj().T))
     factors = []
     for i in range(dim):
@@ -287,19 +303,19 @@ def _controlled_single(
     cnot = memo.cnot(control, target)
     append = out.append
     if abs(delta - beta) > _ANGLE_TOL:
-        append(rz(target, (delta - beta) / 2))
+        append(_rotation("RZ", target, (delta - beta) / 2))
     append(cnot)
     if abs(delta + beta) > _ANGLE_TOL:
-        append(rz(target, -(delta + beta) / 2))
+        append(_rotation("RZ", target, -(delta + beta) / 2))
     if abs(gamma) > _ANGLE_TOL:
-        append(ry(target, -gamma / 2))
+        append(_rotation("RY", target, -gamma / 2))
     append(cnot)
     if abs(gamma) > _ANGLE_TOL:
-        append(ry(target, gamma / 2))
+        append(_rotation("RY", target, gamma / 2))
     if abs(beta) > _ANGLE_TOL:
-        append(rz(target, beta))
+        append(_rotation("RZ", target, beta))
     if abs(alpha) > _ANGLE_TOL:
-        append(phase(control, alpha))
+        append(_rotation("P", control, alpha))
 
 
 def _zyz(u: np.ndarray):

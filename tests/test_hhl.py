@@ -593,6 +593,9 @@ class TestWscc9Run:
     """Regression pins for the headline 9-bus experiment (noiseless)."""
 
     def test_fidelity(self, wscc9_hhl):
+        # The last bits depend on the BLAS build (one OpenBLAS build reads
+        # ...7060086), so the pin holds to 1e-9 across builds; byte identity
+        # is judged parent against change on one machine.
         assert wscc9_hhl.fidelity == pytest.approx(0.8529667277060066, abs=1e-9)
 
     def test_success_probability(self, wscc9_hhl):

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import qpf.qsim.circuit as circuit_module
 import qpf.qsim.lower as lower_module
 from helpers import (
+    benchmark_ring,
     count_named_builds,
     dense_circuit,
     gate_qubit_set,
@@ -14,6 +17,7 @@ from helpers import (
     random_unitary,
     sqrt_2x2_alone,
 )
+from qpf.errors import InputError
 from qpf.hhl import HHLConfig, plan_hhl
 from qpf.qsim import (
     Circuit,
@@ -25,7 +29,9 @@ from qpf.qsim import (
     h,
     lower_to_basis,
     metrics,
+    phase,
     ry,
+    rz,
 )
 from qpf.qsim.circuit import _X, _ry_matrix, _rz_matrix
 
@@ -220,20 +226,55 @@ def test_root_chains_hold_each_chain_and_skip_identities():
     assert lower_module._root_chains([_X], 0) == {}
 
 
-def test_wscc9_lowering_takes_one_eig_per_controlled_unitary_and_level(
-    wscc9_system, monkeypatch
-):
-    # The square roots of each controlled unitary's factors are taken one
-    # stacked call per chain level: 20 calls, not one per root.
+def test_wscc9_lowering_takes_one_stacked_eig_per_chain_level(wscc9_system, monkeypatch):
+    # The square roots of every controlled unitary's factors, and of X, are
+    # taken one stacked call per chain level for the whole circuit: the
+    # evolutions on 1 + beta = 4 qubits read chains 2 levels deep.
     circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
-    levels = sum(max(len(g.qubits) - 2, 0) for g in circuit.gates
+    levels = max(len(g.qubits) - 2 for g in circuit.gates
                  if isinstance(g, ControlledUnitary))
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda u: calls.append(u.shape) or eig(u))
     assert metrics(circuit).cnot_count == 23550
-    assert len(calls) <= levels == 20
+    assert len(calls) == levels == 2
     assert all(len(shape) == 3 for shape in calls)
+
+
+def test_lowered_named_gates_are_what_the_public_helpers_make(wscc9_system):
+    # RY and RZ from the ZYZ steps and the ladder, P from the ZYZ phase, and
+    # the inverses of all three in the undone walks and adjoint blocks.
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=3))
+    helpers = {"RY": ry, "RZ": rz, "P": phase}
+    made = {id(g): g for g in lower_to_basis(circuit).gates
+            if isinstance(g, SingleQubit) and g.name in helpers}.values()
+    assert {g.name for g in made} == set(helpers)
+    assert any(g.params[0] < 0 for g in made) and any(g.params[0] > 0 for g in made)
+    for gate in made:
+        want = helpers[gate.name](gate.target, gate.params[0])
+        assert list(vars(gate).items()) == list(vars(want).items())
+        assert "u" not in vars(gate)
+        assert sys.getsizeof(vars(gate)) == sys.getsizeof(vars(want))
+        assert gate.inverse().params == (-gate.params[0],)
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["RY", "RZ", "P"])
+def test_a_non_finite_lowered_angle_fails_as_the_public_helper_does(name, angle):
+    helper = {"RY": ry, "RZ": rz, "P": phase}[name]
+    with pytest.raises(InputError) as public:
+        helper(0, angle)
+    with pytest.raises(InputError) as lowered:
+        circuit_module._rotation(name, 0, angle)
+    assert str(lowered.value) == str(public.value) == f"non-finite {name} angle"
+
+
+def test_an_overflowing_ladder_angle_is_refused():
+    # Each angle is finite, but their sum, the first ladder angle, is not
+    # (numpy's dot warns of the overflow first).
+    gate = UniformlyControlledRy((1,), 0, [1e308, 1e308])
+    with pytest.raises(InputError, match="^non-finite RY angle$"), np.errstate(over="ignore"):
+        lower_to_basis(Circuit(2, [gate]))
 
 
 def test_near_identity_sub_block_is_dropped():
@@ -292,6 +333,25 @@ def test_wscc9_alpha5_gate_sequence_is_pinned(wscc9_system):
     circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=5))
     assert _dump_digest(circuit) == (
         87139, "070d961bbee65db654d207effaf457561b2fcf4148f7e357d4d92d1d92f8f119"
+    )
+
+
+def test_wscc9_alpha11_gate_sequence_is_pinned(wscc9_system):
+    # Eleven clock qubits: 22 evolutions and 110 controlled QFT phases share
+    # one root pass.
+    circuit, *_ = plan_hhl(wscc9_system, HHLConfig(alpha=11))
+    assert _dump_digest(circuit) == (
+        196045, "43947695ad5ffdf0d0b18bf2676b553897e67bdda30bc3f4c138080e73e3bdf3"
+    )
+
+
+def test_ring17_alpha1_gate_sequence_is_pinned():
+    # The benchmark's 17-bus ring (perfbench/oracles.py RING17_SEED = 17017)
+    # at alpha = 1: evolutions on four targets, so Givens walks over up to
+    # four bits and square-root chains 3 levels deep.
+    circuit, *_ = plan_hhl(benchmark_ring(17, 17017), HHLConfig(alpha=1))
+    assert _dump_digest(circuit) == (
+        307203, "83f71a19ca10cb58557c831e2f2d6afc469ab62b1b13b187f330e9e60f089c7f"
     )
 
 
