@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Wall time of ``qpf.qsim.apply_circuit`` per gate kind, of ``qpf.hhl.build_qpe``
-and of plan + simulate on the rings of the benchmark's ``grid-scale-sim``.
+"""Wall time of the grid layers, of ``qpf.qsim.apply_circuit`` per gate kind, of
+circuit building and of plan + simulate on the rings of the benchmark's
+``grid-scale-sim``.
 
     python3 scripts/time_simulate.py [--repeats 5]
 
@@ -9,11 +10,14 @@ directory and the rings come from ``perfbench/netgen.py``: 65, 129 and 257
 buses with the network seeds of benchmark seed 1 (1006, 1007, 1008), at
 alpha = 7, as ``grid-scale-sim`` runs them.  BLAS runs on one thread.
 
-For each ring the HHL circuit is planned once.  Its gates are grouped by kind
+For each ring, ``parse_network`` of its JSON text, ``build_reduced_system``,
+``network_stats`` and ``solve_dc`` are timed first.  Then the HHL circuit is
+planned once.  Its gates are grouped by kind
 (a named one-qubit gate by its name, ``CNOT``, ``CU`` with its matrix
 dimension, ``UCRY``), and each group, in circuit order, is run alone by
 ``apply_circuit`` on a uniform state, which leaves no qubit idle.  Then
-``build_qpe`` on the ring's eigendecomposition, ``apply_circuit`` of the whole
+``build_qpe`` on the ring's eigendecomposition, ``build_hhl_circuit`` on it and
+the unit injections (as ``grid-scale-sim`` calls it), ``apply_circuit`` of the whole
 planned circuit from |0...0> (where the clock and ancilla start idle) and
 ``plan_hhl`` followed by that ``apply_circuit`` are timed.  Every line prints
 the median of ``--repeats`` runs in milliseconds.
@@ -36,8 +40,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import netgen  # noqa: E402
-from qpf.grid import build_reduced_system, network_from_dict  # noqa: E402
-from qpf.hhl import HHLConfig, build_qpe, choose_scaling, eigendecompose, plan_hhl  # noqa: E402
+from qpf.grid import build_reduced_system, network_stats, parse_network, solve_dc  # noqa: E402
+from qpf.hhl import (  # noqa: E402
+    HHLConfig,
+    build_hhl_circuit,
+    build_qpe,
+    choose_scaling,
+    eigendecompose,
+    plan_hhl,
+)
 from qpf.qsim import Circuit, ControlledUnitary, SingleQubit, apply_circuit, zero_state  # noqa: E402
 
 ALPHA = 7
@@ -68,7 +79,9 @@ def main() -> None:
     args = parser.parse_args()
     config = HHLConfig(alpha=ALPHA)
     for buses, seed in RINGS.items():
-        system = build_reduced_system(network_from_dict(netgen.ring_chord_network(buses, seed)))
+        text = netgen.network_json(buses, seed)
+        network = parse_network(text)
+        system = build_reduced_system(network)
         circuit, *_ = plan_hhl(system, config)
         width = circuit.num_qubits
         state = np.full(2**width, 2 ** (-width / 2), dtype=complex)
@@ -76,6 +89,11 @@ def main() -> None:
         for gate in circuit.gates:
             groups.setdefault(kind(gate), []).append(gate)
         print(f"ring{buses}-a{ALPHA}: {width} qubits, {len(circuit.gates)} gates")
+        for name, call in [("parse_network", lambda: parse_network(text)),
+                           ("build_reduced_system", lambda: build_reduced_system(network)),
+                           ("network_stats", lambda: network_stats(network)),
+                           ("solve_dc", lambda: solve_dc(system))]:
+            print(f"  {name:31s} {median_ms(call, args.repeats):8.3f} ms")
         for name, gates in groups.items():
             part = Circuit(width, gates)
             ms = median_ms(lambda: apply_circuit(state, part), args.repeats)
@@ -84,6 +102,9 @@ def main() -> None:
         scaling = choose_scaling(eig, ALPHA)
         ms = median_ms(lambda: build_qpe(eig, scaling), args.repeats)
         print(f"  build_qpe                       {ms:8.3f} ms")
+        p_unit = system.p / np.linalg.norm(system.p)
+        ms = median_ms(lambda: build_hhl_circuit(eig, p_unit, scaling), args.repeats)
+        print(f"  build_hhl_circuit               {ms:8.3f} ms")
         ms = median_ms(lambda: apply_circuit(zero_state(width), circuit), args.repeats)
         print(f"  apply_circuit from |0...0>      {ms:8.3f} ms")
 

@@ -79,11 +79,11 @@ class NetworkStats:
 
 
 def _require_keys(obj: dict, required: dict, where: str) -> None:
-    missing = set(required) - set(obj)
-    unknown = set(obj) - set(required)
-    if missing:
-        raise InputError(f"{where}: missing field(s) {sorted(missing)}")
-    if unknown:
+    if obj.keys() != required.keys():  # the sets below only name the difference
+        missing = set(required) - set(obj)
+        unknown = set(obj) - set(required)
+        if missing:
+            raise InputError(f"{where}: missing field(s) {sorted(missing)}")
         raise InputError(f"{where}: unknown field(s) {sorted(unknown)}")
     for key, kind in required.items():
         # bool is an int subclass: only a bool field takes a bool, and only a bool
@@ -188,18 +188,21 @@ def load_fixture(name: str) -> Network:
 
 
 def full_susceptance(network: Network) -> np.ndarray:
-    """Unreduced weighted-Laplacian susceptance matrix, buses by ascending id."""
+    """Unreduced weighted-Laplacian susceptance matrix, buses by ascending id.
+
+    Branch k with w = 1/x adds w to cells (i, i) and (j, j) and -w to (i, j)
+    and (j, i), by one ``np.add.at`` over the branches' four cells in branch
+    order, so each cell sums its terms in that order.
+    """
     order = sorted(b.id for b in network.buses)
     index = {bus_id: i for i, bus_id in enumerate(order)}
     n = len(order)
+    i = np.array([index[br.from_bus] for br in network.branches], dtype=np.intp)
+    j = np.array([index[br.to_bus] for br in network.branches], dtype=np.intp)
+    w = np.array([1.0 / br.x_pu for br in network.branches])
     b = np.zeros((n, n))
-    for br in network.branches:
-        w = 1.0 / br.x_pu
-        i, j = index[br.from_bus], index[br.to_bus]
-        b[i, i] += w
-        b[j, j] += w
-        b[i, j] -= w
-        b[j, i] -= w
+    np.add.at(b, (np.stack([i, j, i, j], axis=1), np.stack([i, j, j, i], axis=1)),
+              np.stack([w, w, -w, -w], axis=1))
     return b
 
 

@@ -219,9 +219,12 @@ def build_hhl_circuit(
     qpe = build_qpe(eig, scaling)
     ancilla = qpe.num_qubits
     clock = tuple(range(ancilla - scaling.alpha, ancilla))
-    return Circuit(ancilla + 1, [*prepare_state(p_unit).gates, *qpe.gates,
-                                 build_reciprocal_rotation(scaling, clock, ancilla),
-                                 *qpe.inverse().gates])
+    circuit = Circuit(ancilla + 1)
+    circuit.extend(prepare_state(p_unit))
+    circuit.extend(qpe)
+    circuit.append(build_reciprocal_rotation(scaling, clock, ancilla))
+    circuit.extend(qpe.inverse())
+    return circuit
 
 
 # -- execution ---------------------------------------------------------------

@@ -13,9 +13,11 @@ count, finite real angles); ``controlled_evolutions`` makes the QPE's
 ``ControlledUnitary`` family, V e^{i phi_k} V^T for one real V, with one check
 of V in place of one per matrix.  A Circuit is an ordered gate list over a
 fixed-width register whose ``append`` checks only the gate kind and the
-width.  ``lower_to_basis`` splices lowered blocks into the list without that
-check, since each lies on the qubits of an input gate whose circuit already
-checked them; so every stored circuit is well-formed by construction.  A
+width.  The splice rule: gates that come from an already-checked circuit join
+the list without that per-gate check.  ``extend`` of a Circuit checks once
+that it is no wider; ``inverse`` lists each gate's inverse, on that gate's
+qubits; ``lower_to_basis`` splices in lowered blocks, each on the qubits of an
+input gate.  So every stored circuit is well-formed by construction.  A
 named gate builds its matrix only when ``u`` is first read, so lowering and
 counting, which never read it, build none.  ``SingleQubit`` writes its checked
 fields into its instance ``__dict__``, as ``_unchecked`` does, rather than
@@ -389,12 +391,23 @@ class Circuit:
         self.gates.append(gate)
 
     def extend(self, gates) -> None:
-        for g in gates:
-            self.append(g)
+        """``append`` each of an iterable of gates; or, for a Circuit no wider
+        than this one, splice in its gates after that one width check."""
+        if not isinstance(gates, Circuit):
+            for g in gates:
+                self.append(g)
+        elif gates.num_qubits > self.num_qubits:
+            raise InputError(f"cannot splice a {gates.num_qubits}-qubit circuit "
+                             f"into a {self.num_qubits}-qubit one")
+        else:
+            self.gates.extend(gates.gates)
 
     def inverse(self) -> "Circuit":
-        """Adjoint circuit: gates reversed and individually inverted."""
-        return Circuit(self.num_qubits, [g.inverse() for g in reversed(self.gates)])
+        """Adjoint circuit: gates reversed and individually inverted, each
+        inverse on its gate's qubits, so spliced in unchecked."""
+        adjoint = Circuit(self.num_qubits)
+        adjoint.gates = [g.inverse() for g in reversed(self.gates)]
+        return adjoint
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,9 @@ def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> No
     for b in range(k):
         parity ^= (j >> b) & 1
     theta = np.empty(size)
-    for i in range(size):
-        theta[i] = np.dot(1 - 2 * parity[_gray(i) & j], gate.angles) / size
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range: refused below
+        for i in range(size):
+            theta[i] = np.dot(1 - 2 * parity[_gray(i) & j], gate.angles) / size
     for i in range(size):
         out.append(_rotation("RY", gate.target, float(theta[i])))
         if i < size - 1:

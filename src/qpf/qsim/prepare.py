@@ -44,9 +44,9 @@ def prepare_state(target: np.ndarray) -> Circuit:
             if level == beta - 1:
                 angles[j] = 2.0 * math.atan2(seg[1], seg[0])
             else:
-                lo = np.linalg.norm(seg[: block // 2])
-                hi = np.linalg.norm(seg[block // 2 :])
-                angles[j] = 2.0 * math.atan2(hi, lo)
+                # The half norms as np.linalg.norm computes them, without its wrapper.
+                lo, hi = seg[: block // 2], seg[block // 2 :]
+                angles[j] = 2.0 * math.atan2(math.sqrt(hi.dot(hi)), math.sqrt(lo.dot(lo)))
         controls = tuple(range(beta - level, beta))
         circuit.append(UniformlyControlledRy(controls, beta - 1 - level, angles))
     return circuit

@@ -11,7 +11,9 @@ a QFT controlled phase) or exactly anti-diagonal (X, CNOT) runs in place on
 the two target halves of its control-sliced view: a multiply per half whose
 factor is not 1, after a swap through a scratch buffer if anti-diagonal.
 Every other gate, H included, is gathered into a scratch buffer, multiplied
-as a batched matmul into the other and scattered back.
+as a batched matmul into the other and scattered back; its target axes come
+to the front of the control-sliced view by one ``ndarray.transpose``, whose
+axis order is made once per call for each tuple of targets.
 
 A qubit is idle while no nonzero amplitude has its bit set: read once from
 the input, it stays idle until a gate targets it.  Each gate runs on the
@@ -65,6 +67,7 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     live = int(np.bitwise_or.reduce(np.flatnonzero(out)))
     view = [slice(None) if live >> q & 1 else slice(0, 1) for q in reversed(range(n))]
     gathered, product = np.empty_like(out), np.empty_like(out)
+    perms: dict[tuple, list[int]] = {}  # targets -> axis order putting them first
     for gate in circuit.gates:
         controls, pattern, targets, u = gate.controlled_form()
         for t in targets:
@@ -78,8 +81,11 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
             continue
         # Target axes, most significant matrix bit first, moved to the front
         # so the control-sliced view reads as a (batch, row, rest) stack.
-        front = [_axis(n, t) for t in reversed(targets)]
-        block = np.moveaxis(psi[tuple(sel)], front, range(len(targets)))
+        perm = perms.get(targets)
+        if perm is None:
+            front = [_axis(n, t) for t in reversed(targets)]
+            perm = perms[targets] = front + [a for a in range(n) if a not in front]
+        block = psi[tuple(sel)].transpose(perm)
         x = gathered[: block.size].reshape(block.shape)
         x[...] = block
         shape = (-1, u.shape[-1], block.size >> len(targets))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qpf.grid import ReducedSystem, build_reduced_system, network_from_dict
+from qpf.grid import Network, ReducedSystem, build_reduced_system, network_from_dict
 from qpf.qsim import (
     Circuit,
     Cnot,
@@ -196,14 +196,35 @@ def exact_grid_system(
     return ReducedSystem(b=b, p=p, bus_order=tuple(range(2, dim + 2)))
 
 
-def benchmark_ring(buses: int, seed: int) -> ReducedSystem:
-    """The reduced system of ``perfbench/netgen.py``'s ring of ``buses`` buses,
-    network seed ``seed``, as the benchmark's ``grid-scale-sim`` makes it."""
+def benchmark_network(buses: int, seed: int) -> Network:
+    """``perfbench/netgen.py``'s ring of ``buses`` buses, network seed ``seed``,
+    as the benchmark's ``grid-scale-sim`` makes it."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
     spec = importlib.util.spec_from_file_location("netgen", path)
     netgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(netgen)
-    return build_reduced_system(network_from_dict(netgen.ring_chord_network(buses, seed)))
+    return network_from_dict(netgen.ring_chord_network(buses, seed))
+
+
+def benchmark_ring(buses: int, seed: int) -> ReducedSystem:
+    """The reduced system of ``benchmark_network(buses, seed)``."""
+    return build_reduced_system(benchmark_network(buses, seed))
+
+
+def full_susceptance_by_loop(network: Network) -> np.ndarray:
+    """The unreduced susceptance matrix, buses by ascending id, by one loop
+    over the branches in order, four scalar updates each."""
+    order = sorted(b.id for b in network.buses)
+    index = {bus_id: i for i, bus_id in enumerate(order)}
+    b = np.zeros((len(order), len(order)))
+    for br in network.branches:
+        w = 1.0 / br.x_pu
+        i, j = index[br.from_bus], index[br.to_bus]
+        b[i, i] += w
+        b[j, j] += w
+        b[i, j] -= w
+        b[j, i] -= w
+    return b
 
 
 def count_named_builds(monkeypatch) -> list[str]:

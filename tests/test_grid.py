@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import benchmark_network, full_susceptance_by_loop
 from qpf.cli import main
 from qpf.errors import InputError, NumericalError
 from qpf.grid import (
@@ -234,6 +235,41 @@ class TestSchema:
     def test_rejects_non_object_top_level(self):
         with pytest.raises(InputError):
             parse_network("[1, 2]")
+
+
+def test_a_missing_field_is_named_before_an_unknown_one():
+    data = two_bus_dict()
+    data["buses"][0] = {"id": 1, "p_pu": 0.0, "name": "x"}
+    with pytest.raises(InputError, match=r"^buses\[0\]: missing field\(s\) \['slack'\]$"):
+        network_from_dict(data)
+    data["buses"][0]["slack"] = True
+    with pytest.raises(InputError, match=r"^buses\[0\]: unknown field\(s\) \['name'\]$"):
+        network_from_dict(data)
+
+
+# Parallel branches between buses 1 and 2, one of them given as 2 -> 1, and a
+# pair between 3 and 4 in both directions: several terms land in one cell.
+PARALLEL = {
+    "base_mva": 100.0,
+    "buses": [{"id": i, "slack": i == 1, "p_pu": 0.1 * i} for i in (1, 2, 3, 4)],
+    "branches": [{"from": f, "to": t, "x_pu": x} for f, t, x in [
+        (1, 2, 0.1), (2, 3, 0.07), (1, 2, 0.3), (2, 1, 0.7), (3, 4, 0.013),
+        (4, 3, 0.11), (1, 4, 0.9), (3, 4, 3.0),
+    ]],
+}
+SUSCEPTANCE_CASES = {
+    "wscc9": lambda: load_fixture("wscc9"),
+    "parallel": lambda: network_from_dict(PARALLEL),
+    **{f"ring{2**beta + 1}-seed{seed}": (lambda b=beta, s=seed:
+                                         benchmark_network(2**b + 1, s * 1000 + b))
+       for seed in (1, 7) for beta in (6, 7, 8)},
+}
+
+
+@pytest.mark.parametrize("make", SUSCEPTANCE_CASES.values(), ids=SUSCEPTANCE_CASES.keys())
+def test_full_susceptance_is_the_branch_loop_bit_for_bit(make):
+    network = make()
+    assert full_susceptance(network).tobytes() == full_susceptance_by_loop(network).tobytes()
 
 
 def test_load_network_missing_file(tmp_path):

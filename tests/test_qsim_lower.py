@@ -8,6 +8,7 @@ import pytest
 import qpf.qsim.circuit as circuit_module
 import qpf.qsim.lower as lower_module
 from helpers import (
+    asap_depth,
     benchmark_ring,
     count_named_builds,
     dense_circuit,
@@ -18,13 +19,14 @@ from helpers import (
     sqrt_2x2_alone,
 )
 from qpf.errors import InputError
-from qpf.hhl import HHLConfig, plan_hhl
+from qpf.hhl import HHLConfig, plan_hhl, run_hhl
 from qpf.qsim import (
     Circuit,
     Cnot,
     ControlledUnitary,
     SingleQubit,
     UniformlyControlledRy,
+    apply_circuit,
     dump,
     h,
     lower_to_basis,
@@ -32,6 +34,7 @@ from qpf.qsim import (
     phase,
     ry,
     rz,
+    zero_state,
 )
 from qpf.qsim.circuit import _X, _ry_matrix, _rz_matrix
 
@@ -270,11 +273,19 @@ def test_a_non_finite_lowered_angle_fails_as_the_public_helper_does(name, angle)
 
 
 def test_an_overflowing_ladder_angle_is_refused():
-    # Each angle is finite, but their sum, the first ladder angle, is not
-    # (numpy's dot warns of the overflow first).
+    # Each angle is finite, but their sum, the first ladder angle, is not.
+    # The suite turns warnings into errors, so numpy must not warn first.
     gate = UniformlyControlledRy((1,), 0, [1e308, 1e308])
-    with pytest.raises(InputError, match="^non-finite RY angle$"), np.errstate(over="ignore"):
+    with pytest.raises(InputError, match="^non-finite RY angle$"):
         lower_to_basis(Circuit(2, [gate]))
+
+
+def test_a_ladder_angle_overflowing_both_ways_is_refused():
+    # numpy's dot of 16 terms overflows partial sums of both signs, and
+    # their sum is NaN, again with no warning before the InputError.
+    gate = UniformlyControlledRy((1, 2, 3, 4), 0, [1e308] * 8 + [-1e308] * 8)
+    with pytest.raises(InputError, match="^non-finite RY angle$"):
+        lower_to_basis(Circuit(5, [gate]))
 
 
 def test_near_identity_sub_block_is_dropped():
@@ -353,6 +364,35 @@ def test_ring17_alpha1_gate_sequence_is_pinned():
     assert _dump_digest(circuit) == (
         307203, "83f71a19ca10cb58557c831e2f2d6afc469ab62b1b13b187f330e9e60f089c7f"
     )
+
+
+def test_lowered_wscc9_alpha3_plan_solves_as_the_plan(wscc9_system):
+    # End to end: the lowered circuit, the one ``metrics`` counts, computes
+    # the state the solve reads, and gives the same scores.  The readout is
+    # written here from the register layout, with numpy's own solve as the
+    # classical reference.
+    alpha = 3
+    circuit, scaling, beta, _ = plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
+    lowered = lower_to_basis(circuit)
+    assert len(lowered.gates) == 52229
+    start = zero_state(circuit.num_qubits)
+    state = apply_circuit(start, lowered)
+    assert np.abs(state - apply_circuit(start, circuit)).max() <= 1e-10
+
+    branch = state.reshape(2, 2**alpha, 2**beta)[1]  # [ancilla][clock, solution]
+    probability = float(np.sum(np.abs(branch) ** 2))
+    kept = branch[0] / math.sqrt(probability)
+    pivot = kept[np.argmax(np.abs(kept))]
+    solution = (kept * pivot.conjugate() / abs(pivot)).real[: len(wscc9_system.p)]
+    theta = np.linalg.solve(wscc9_system.b, wscc9_system.p)
+    fidelity = theta @ solution / (np.linalg.norm(theta) * np.linalg.norm(solution))
+    result = run_hhl(wscc9_system, HHLConfig(alpha=alpha))
+    assert abs(probability - result.success_probability) <= 1e-10
+    assert abs(1.0 - np.sum(np.abs(kept) ** 2) - result.residual_clock_leak) <= 1e-10
+    assert abs(fidelity**2 - result.fidelity) <= 1e-10
+
+    assert asap_depth(lowered) == 34156
+    assert sum(isinstance(g, Cnot) for g in lowered.gates) == 14108
 
 
 def test_wscc9_metrics_build_no_named_matrix_and_one_cnot_per_pair(

@@ -253,6 +253,9 @@ def test_time_simulate_script_runs():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("plan_hhl + apply_circuit") == 3
     assert done.stdout.count("apply_circuit from |0...0>") == 3
+    for layer in ("parse_network", "build_reduced_system", "network_stats", "solve_dc",
+                  "build_qpe", "build_hhl_circuit"):
+        assert done.stdout.count(f"  {layer} ") == 3, layer
 
 
 def test_apply_circuit_preserves_norm(rng):
@@ -319,6 +322,45 @@ def test_circuit_inverse_undoes(rng):
     state /= np.linalg.norm(state)
     back = apply_circuit(apply_circuit(state, circuit), circuit.inverse())
     np.testing.assert_allclose(back, state, atol=1e-12)
+
+
+def test_splicing_a_wider_circuit_is_refused_whole():
+    # Refused for its width alone, even with every gate in range, and
+    # before any gate joins.
+    circuit = Circuit(2, [h(0)])
+    message = r"^cannot splice a 3-qubit circuit into a 2-qubit one$"
+    for wider in (Circuit(3, [h(0)]), Circuit(3, [h(2), x(0)])):
+        with pytest.raises(InputError, match=message):
+            circuit.extend(wider)
+        assert dump(circuit) == "H 0\n"
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_splicing_a_circuit_keeps_its_gate_objects_in_order(width, rng, monkeypatch):
+    other = random_circuit(rng, width, length=8)
+    circuit = Circuit(3, [x(2)])
+
+    def refuse(self, gate):
+        raise AssertionError("a spliced gate was checked again")
+
+    monkeypatch.setattr(Circuit, "append", refuse)
+    circuit.extend(other)
+    circuit.extend(other)
+    assert circuit.num_qubits == 3
+    assert len(circuit.gates) == 17
+    assert all(a is b for a, b in zip(circuit.gates[1:], other.gates + other.gates))
+
+
+def test_circuit_inverse_is_the_gate_by_gate_inverse(rng):
+    gates = [SingleQubit(1, random_unitary(rng, 2)), h(0),
+             ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)), Cnot(0, 2),
+             UniformlyControlledRy((0, 2), 1, rng.uniform(-3, 3, 4)), rz(2, 0.3)]
+    inverse = Circuit(3, gates).inverse()
+    assert inverse.num_qubits == 3
+    assert [type(g) for g in inverse.gates] == [type(g) for g in reversed(gates)]
+    assert dump(inverse) == "".join(g.inverse().dump_line() + "\n" for g in reversed(gates))
+    np.testing.assert_allclose(dense_circuit(inverse) @ dense_circuit(Circuit(3, gates)),
+                               np.eye(8), atol=1e-12)
 
 
 class TestValidation:
