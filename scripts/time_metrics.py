@@ -25,6 +25,9 @@ and the 200-bus ring of the same seed (n = 199) pads to the same 16 qubits.
 Last, ``run_hhl`` on wscc9 over alpha 3..6, the cycle of operations of the
 benchmark's ``wscc9-hhl`` workload, is timed ``--repeats`` times, and the
 median and minimum of one cycle and the median per ``run_hhl`` call are printed.
+Then ``GC_CYCLES`` more cycles run untimed while a ``gc.callbacks`` hook only
+watches the collector, and one line gives its collections per generation and
+the seconds it took, against the seconds of those cycles.
 """
 
 import os
@@ -33,6 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -63,6 +67,8 @@ CASES = {
     "ring17-a5": (lambda: ring(17), 5),
     "ring33-a1": (lambda: ring(33), 1),
 }
+# Cycles of the wscc9 run_hhl cycle the collector is watched over: 80 calls.
+GC_CYCLES = 20
 PLAN_CASES = {
     "wscc9-a5": (lambda: load_fixture("wscc9"), 5),
     "ring257-a7": (lambda: ring(257, 1008), 7),
@@ -101,6 +107,26 @@ def lowering_layers(circuit, repeats: int) -> str:
             f"roots {statistics.median(roots) * 1e3:.2f} ms")
 
 
+def collector_during(call) -> tuple[list[int], float, float]:
+    """Collections per generation and seconds in the collector while ``call()``
+    runs, read through ``gc.callbacks``, and the seconds of the whole call."""
+    collections, spent, started = [0, 0, 0], [0.0], [0.0]
+
+    def watch(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            spent[0] += time.perf_counter() - started[0]
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(watch)
+    try:
+        seconds, _ = timed(lambda _: call(), None)
+    finally:
+        gc.callbacks.remove(watch)
+    return collections, spent[0], seconds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -131,6 +157,11 @@ def main() -> None:
     median = statistics.median(cycle_times)
     print(f"wscc9 run_hhl alpha 3..6 cycle median {median:.4f} s "
           f"min {min(cycle_times):.4f} s  per call {median / len(configs):.4f} s")
+    collections, in_gc, seconds = collector_during(
+        lambda: [run_hhl(system, c) for _ in range(GC_CYCLES) for c in configs])
+    print(f"wscc9 run_hhl alpha 3..6 gc over {GC_CYCLES * len(configs)} calls  "
+          f"collections gen0/gen1/gen2 {'/'.join(map(str, collections))}  "
+          f"{in_gc:.3f} s of {seconds:.3f} s ({100 * in_gc / seconds:.1f} %)")
 
 
 if __name__ == "__main__":

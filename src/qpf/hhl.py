@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,12 @@ from qpf.qsim import (
     prepare_state,
     zero_state,
 )
-from qpf.qsim.circuit import MAX_QUBITS
+from qpf.qsim.circuit import MAX_EVOLUTION_QUBITS, MAX_QUBITS
+
+# The widest solution register a plan takes, the widest target register of the
+# QPE's evolutions: 2^10 = 1,024 dims, a network of up to 1,025 buses, 16 MiB
+# per evolution.  A wider system is refused before its eigendecomposition.
+MAX_SYSTEM_QUBITS = MAX_EVOLUTION_QUBITS
 
 
 @dataclass(frozen=True)
@@ -230,19 +236,26 @@ def build_hhl_circuit(
 # -- execution ---------------------------------------------------------------
 
 
-def plan_hhl(
-    system: ReducedSystem, config: HHLConfig
-) -> tuple[Circuit, SpectralScaling, int, float]:
+class HHLPlan(NamedTuple):
+    """What ``plan_hhl`` builds: the circuit, its clock scaling, the
+    solution-register width ``beta`` after padding, and ``p_norm``, the norm
+    of the unpadded injections.  It unpacks as the 4-tuple it is."""
+
+    circuit: Circuit
+    scaling: SpectralScaling
+    beta: int
+    p_norm: float
+
+
+def plan_hhl(system: ReducedSystem, config: HHLConfig) -> HHLPlan:
     """Pad the system to dimension 2^beta and build its pipeline circuit.
 
     Padding appends 2^beta - n eigenpairs (lambda_max, unit vector) to one
     eigendecomposition of the n x n B, and zeros to p.  Raises InputError when
     the injection norm is zero or not finite, and before any eigendecomposition or
-    circuit build when ``config.alpha`` is not an int >= 1 or the circuit's
-    beta + alpha + 1 qubits are over ``MAX_QUBITS``.
-
-    Returns (circuit, scaling, beta, p_norm): beta is the solution-register
-    width after padding and p_norm the norm of the unpadded injections.
+    circuit build when ``config.alpha`` is not an int >= 1, beta is over
+    ``MAX_SYSTEM_QUBITS`` or the circuit's beta + alpha + 1 qubits are over
+    ``MAX_QUBITS``.
     """
     n = len(system.p)
     if n < 2:
@@ -253,6 +266,9 @@ def plan_hhl(
 
     alpha = as_int(config.alpha, "alpha", 1)
     beta = (n - 1).bit_length()
+    if beta > MAX_SYSTEM_QUBITS:
+        raise InputError(f"a system of dimension {n} needs {beta} solution qubits, "
+                         f"over the {MAX_SYSTEM_QUBITS}-qubit limit")
     width = beta + alpha + 1
     if width > MAX_QUBITS:
         raise InputError(f"HHL circuit of {width} qubits is over the {MAX_QUBITS}-qubit limit")
@@ -263,7 +279,7 @@ def plan_hhl(
     eig = EigenDecomposition(np.pad(eig.lambdas, (0, pad), mode="edge"), vectors)
     scaling = choose_scaling(eig, alpha, config.t_override, config.c_override)
     p_unit = np.pad(system.p, (0, pad)) / p_norm
-    return build_hhl_circuit(eig, p_unit, scaling), scaling, beta, p_norm
+    return HHLPlan(build_hhl_circuit(eig, p_unit, scaling), scaling, beta, p_norm)
 
 
 def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:

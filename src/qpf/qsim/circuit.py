@@ -6,12 +6,13 @@ of the statevector index, so basis state ``|q_{n-1} ... q_1 q_0>`` has index
 ``ControlledUnitary.targets = (a, b)``, qubit ``a`` is bit 0 of the matrix
 row/column index.
 
-Gates are frozen dataclasses, one class per kind holding all of that kind's
-behaviour (see ``Gate``), that check themselves once, when made (distinct
-qubits, a given numeric matrix unitary, an int pattern that fits, the angle
-count, finite real angles); ``controlled_evolutions`` makes the QPE's
-``ControlledUnitary`` family, V e^{i phi_k} V^T for one real V, with one check
-of V in place of one per matrix.  A Circuit is an ordered gate list over a
+Gates are slotted frozen dataclasses, one class per kind holding all of that
+kind's behaviour (see ``Gate``), that check themselves once, when made
+(distinct qubits, a given numeric matrix unitary, an int pattern that fits,
+the angle count, finite real angles); ``controlled_evolutions`` makes the
+QPE's ``ControlledUnitary`` family, V e^{i phi_k} V^T for one real V of at
+most ``MAX_EVOLUTION_QUBITS`` qubits, with one check of V in place of one per
+matrix.  A Circuit is an ordered gate list over a
 fixed-width register whose ``append`` checks only the gate kind and the
 width.  The splice rule: gates that come from an already-checked circuit join
 the list without that per-gate check.  ``extend`` of a Circuit checks once
@@ -19,17 +20,18 @@ that it is no wider; ``inverse`` lists each gate's inverse, on that gate's
 qubits; ``lower_to_basis`` splices in lowered blocks, each on the qubits of an
 input gate.  So every stored circuit is well-formed by construction.  A
 named gate builds its matrix only when ``u`` is first read, so lowering and
-counting, which never read it, build none.  ``SingleQubit`` writes its checked
-fields into its instance ``__dict__``, as ``_unchecked`` does, rather than
-through ``object.__setattr__``; the RY, RZ and P gates that lowering makes, and
-every named inverse, come from ``_rotation``, which writes the same fields
-after one finiteness check of the angle.
+counting, which never read it, build none.  No gate has an instance
+``__dict__``: each holds its fields in slots.  The RY, RZ and P gates that
+lowering makes, and every named inverse, come from ``_rotation``, which
+checks only that the angle is finite and keeps it in one private slot, so
+such a gate is one small object; its ``params`` tuple, like ``u``, is built
+on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,9 +41,10 @@ UNITARY_TOL = 1e-10
 # The widest register any circuit or state may have: a complex128 statevector of
 # 2^24 amplitudes is 256 MiB, and a run holds up to four.  The benchmark's widest has 16.
 MAX_QUBITS = 24
-# The widest evolution ``controlled_evolutions`` takes as unitary from one check
-# of its eigenbasis; a wider one is checked itself (see there).
-_MAX_BASIS_CHECKED_DIM = 1024
+# The widest target register ``controlled_evolutions`` takes: up to 2^10 = 1,024
+# dims one check of the eigenbasis keeps every evolution unitary (see there), and
+# each evolution is 16 MiB.
+MAX_EVOLUTION_QUBITS = 10
 
 # Builders of the named 2x2 matrices (see ``_NAMED``).
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -97,12 +100,17 @@ class Gate:
     and an inverse is the conjugate transpose of a checked matrix.  One family
     is checked through its factor instead: each evolution that
     ``controlled_evolutions`` makes from a real eigenbasis V is unitary to
-    ``UNITARY_TOL`` once V is checked orthogonal to a tighter tolerance (up
-    to ``_MAX_BASIS_CHECKED_DIM`` dims; a wider one is checked itself).  A named
+    ``UNITARY_TOL`` once V is checked orthogonal to a tighter tolerance.  A named
     gate builds ``u`` on its first read; its checks still run when it is made.
     Qubits are told apart by their text, equal for equal Python or numpy ints:
     reading it cannot fail on an unhashable or huge index, as a comparison can.
+
+    Every kind holds its fields in ``__slots__`` and has no instance
+    ``__dict__``: a lowered circuit holds one object per distinct gate, and
+    nothing more for the garbage collector to track.
     """
+
+    __slots__ = ()
 
 
 def _check_distinct(qubits: tuple) -> None:
@@ -110,17 +118,23 @@ def _check_distinct(qubits: tuple) -> None:
         raise InputError(f"gate reuses a qubit: {qubits}")
 
 
-def _unchecked(cls: type, **fields) -> Gate:
-    """A ``cls`` holding ``fields`` of a checked gate, made without its checks."""
+def _unchecked(cls: type, **values) -> Gate:
+    """A ``cls`` holding the field ``values`` of a checked gate, made without its checks."""
     gate = object.__new__(cls)
-    gate.__dict__.update(fields)
+    setters = _SETTERS[cls]
+    for name, value in values.items():
+        setters[name](gate, value)
     return gate
 
 
 def _adjoint(gate: Gate) -> Gate:
     """A copy of a checked ``gate`` with ``u.conj().T`` for ``u``: u^H has u's
     singular values, so it is as unitary as u."""
-    return _unchecked(type(gate), **{**vars(gate), "u": gate.u.conj().T})
+    cls = type(gate)
+    adjoint = object.__new__(cls)
+    for name, set_slot in _FIELD_SETTERS[cls]:
+        set_slot(adjoint, gate.u.conj().T if name == "u" else getattr(gate, name))
+    return adjoint
 
 
 # Each SingleQubit name: its param count and the builder of its matrix from
@@ -142,11 +156,15 @@ class SingleQubit(Gate):
     """Any one-qubit unitary.  "U" (no params) is the matrix ``u`` it is given;
     any other name builds ``u`` from its params on first read, and a matrix
     given with it is rejected: H and X take no params, RY, RZ and P one finite
-    real angle.  A named gate is made with ``u`` unset; ``u`` has no default,
-    so no class attribute keeps its first read from ``__getattr__``.  The
-    fields are written into ``self.__dict__`` once the checks pass; assigning
-    one afterwards still raises ``FrozenInstanceError``.
+    real angle.  A named gate is made with ``u`` unset.  RY, RZ and P also hold
+    their angle in the private ``_angle`` slot, which ``inverse`` negates; one
+    that ``_rotation`` makes holds no ``params`` either.  ``__getattr__``
+    builds ``u`` or ``params`` on its first read.  The slots are written once
+    the checks pass; assigning a field afterwards still raises
+    ``FrozenInstanceError``.
     """
+
+    __slots__ = ("target", "u", "name", "params", "_angle")
 
     target: int
     u: np.ndarray | None
@@ -163,22 +181,42 @@ class SingleQubit(Gate):
             raise InputError(f"{name} takes {n_params} params, got {len(params)}")
         if n_params:
             as_real(params[0], _ANGLE_LABELS[name])
-        fields = self.__dict__
-        fields["target"] = target
+            _SET_ANGLE(self, params[0])  # as given, as params keeps it
+        _SET_TARGET(self, target)
         if build is None:
             _check_unitary(u, 2)
-            fields["u"] = u
+            _SET_U(self, u)
         elif u is not None:
             raise InputError(f"{name} builds its own matrix; only U takes one")
-        fields["name"] = name
-        fields["params"] = params
+        _SET_NAME(self, name)
+        _SET_PARAMS(self, params)
 
     def __getattr__(self, attr: str):
-        # Only for attributes not held: ``u`` of a named gate before its first read.
-        if attr != "u":
+        # Only for slots not yet held: ``u`` of a named gate, and ``params`` of
+        # one from ``_rotation``, before their first read.
+        if attr == "u":
+            value = _NAMED[self.name][1](*self.params)
+        elif attr == "params":
+            value = (self._angle,)
+        else:
             raise AttributeError(attr)
-        object.__setattr__(self, "u", _NAMED[self.name][1](*self.params))
-        return self.u
+        object.__setattr__(self, attr, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # For copy and pickle: the slots held, read past ``__getattr__``, so
+        # that a u or params not yet read is not built for the copy either.
+        state = {}
+        for slot in self.__slots__:
+            try:
+                state[slot] = object.__getattribute__(self, slot)
+            except AttributeError:
+                pass
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -187,9 +225,9 @@ class SingleQubit(Gate):
     def inverse(self) -> SingleQubit:
         if self.name == "U":
             return _adjoint(self)
-        if not self.params:
-            return self  # H and X are self-inverse
-        return _rotation(self.name, self.target, -self.params[0])
+        if self.name in ("H", "X"):
+            return self  # self-inverse
+        return _rotation(self.name, self.target, -self._angle)
 
     def dump_line(self) -> str:
         if self.name == "U":
@@ -201,7 +239,7 @@ class SingleQubit(Gate):
         return (), 0, (self.target,), self.u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cnot(Gate):
     control: int
     target: int
@@ -224,7 +262,7 @@ class Cnot(Gate):
         return (self.control,), 1, (self.target,), _X
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ControlledUnitary(Gate):
     """``u`` acts on ``targets`` when every control qubit matches its pattern bit.
 
@@ -282,10 +320,13 @@ def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
     rows, off by at most about sqrt(2) dim 2^-53, which moves an entry of
     u^H u - I by at most about 2 sqrt(2) dim^1.5 2^-53, 1.3e-12 at 256 dims and
     1.0e-11 at 1,024.  An ``eigh`` basis reads about 3e-15 at 256 dims, where
-    eps = 9.8e-14.  Past ``_MAX_BASIS_CHECKED_DIM`` dims eps falls to what
-    ``eigh``'s own basis reads (1.1 eps at 4,096) and the rounding term grows,
-    so there each u_k is checked when made, as a caller's matrix is.
+    eps = 9.8e-14.  Past 1,024 dims eps falls to what ``eigh``'s own basis
+    reads (1.1 eps at 4,096) and the rounding term grows, so more than
+    ``MAX_EVOLUTION_QUBITS`` targets are refused, before any check or product.
     """
+    if len(targets) > MAX_EVOLUTION_QUBITS:
+        raise InputError(f"evolutions on {len(targets)} qubits are over the "
+                         f"{MAX_EVOLUTION_QUBITS}-qubit limit")
     dim = 2 ** len(targets)
     v = as_array(vectors, "eigenvector entry", 2)
     phases = as_array(phases, "phase", 2)
@@ -294,21 +335,18 @@ def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
                          f"{phases.shape} for {len(controls)} controls on {dim} dims")
     for control in controls:
         _check_distinct((control, *targets))
-    bounded = dim <= _MAX_BASIS_CHECKED_DIM
-    if bounded:
-        _check_unitary(v, dim, UNITARY_TOL / (4 * dim))
+    _check_unitary(v, dim, UNITARY_TOL / (4 * dim))
     gates = []
     for control, angles in zip(controls, phases):
         u = np.empty((dim, dim), dtype=complex)
         u.real = (v * np.cos(angles)) @ v.T
         u.imag = (v * np.sin(angles)) @ v.T
-        fields = {"controls": (control,), "targets": targets, "u": u, "control_pattern": -1}
-        gates.append(_unchecked(ControlledUnitary, **fields) if bounded
-                     else ControlledUnitary(**fields))
+        gates.append(_unchecked(ControlledUnitary, controls=(control,), targets=targets,
+                                u=u, control_pattern=-1))
     return gates
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class UniformlyControlledRy(Gate):
     """Ry(angles[m]) on ``target`` for each control basis value m.
 
@@ -360,16 +398,29 @@ def phase(target: int, phi: float) -> SingleQubit:
     return SingleQubit(target, None, "P", (phi,))
 
 
+# Each kind's slot writers by name, read once.  A slot's own ``__set__`` writes
+# past the frozen ``__setattr__``, as ``object.__setattr__`` does, without that
+# call's lookup of the slot by name.
+_SETTERS = {cls: {slot: getattr(cls, slot).__set__ for slot in cls.__slots__}
+            for cls in (SingleQubit, Cnot, ControlledUnitary, UniformlyControlledRy)}
+# (name, writer) of each field, in order, of each kind that holds a ``u``: what
+# ``_adjoint`` copies.
+_FIELD_SETTERS = {cls: tuple((f.name, _SETTERS[cls][f.name]) for f in fields(cls))
+                  for cls in (SingleQubit, ControlledUnitary)}
+_SET_TARGET, _SET_U, _SET_NAME, _SET_PARAMS, _SET_ANGLE = (
+    _SETTERS[SingleQubit][slot] for slot in ("target", "u", "name", "params", "_angle"))
+
+
 def _rotation(name: str, target: int, angle: float) -> SingleQubit:
-    """``ry``, ``rz`` or ``phase`` (by ``name``) on a checked ``target``, made as
-    ``SingleQubit.__init__`` makes it, fields in its order, but checking only
-    ``angle``, by the same ``as_real`` call."""
+    """``ry``, ``rz`` or ``phase`` (by ``name``) on a checked ``target``, checking
+    only ``angle``, by the same ``as_real`` call as ``SingleQubit.__init__``.
+    The angle is kept in the ``_angle`` slot; ``params``, ``(angle,)``, is
+    built on its first read, as ``u`` is."""
     as_real(angle, _ANGLE_LABELS[name])
     gate = object.__new__(SingleQubit)
-    fields = gate.__dict__
-    fields["target"] = target
-    fields["name"] = name
-    fields["params"] = (angle,)
+    _SET_TARGET(gate, target)
+    _SET_NAME(gate, name)
+    _SET_ANGLE(gate, angle)
     return gate
 
 

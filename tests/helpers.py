@@ -196,14 +196,19 @@ def exact_grid_system(
     return ReducedSystem(b=b, p=p, bus_order=tuple(range(2, dim + 2)))
 
 
-def benchmark_network(buses: int, seed: int) -> Network:
+def benchmark_network_dict(buses: int, seed: int) -> dict:
     """``perfbench/netgen.py``'s ring of ``buses`` buses, network seed ``seed``,
-    as the benchmark's ``grid-scale-sim`` makes it."""
+    as the network-file dict the benchmark's ``grid-scale-sim`` makes."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
     spec = importlib.util.spec_from_file_location("netgen", path)
     netgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(netgen)
-    return network_from_dict(netgen.ring_chord_network(buses, seed))
+    return netgen.ring_chord_network(buses, seed)
+
+
+def benchmark_network(buses: int, seed: int) -> Network:
+    """``benchmark_network_dict(buses, seed)``, parsed."""
+    return network_from_dict(benchmark_network_dict(buses, seed))
 
 
 def benchmark_ring(buses: int, seed: int) -> ReducedSystem:
@@ -225,6 +230,24 @@ def full_susceptance_by_loop(network: Network) -> np.ndarray:
         b[i, j] -= w
         b[j, i] -= w
     return b
+
+
+def holds(gate, attr: str) -> bool:
+    """Whether ``gate`` holds ``attr`` now, read past ``__getattr__``, which
+    would build an unset ``u`` or ``params`` on the read."""
+    try:
+        object.__getattribute__(gate, attr)
+    except AttributeError:
+        return False
+    return True
+
+
+def held_slots(gate) -> list[tuple[str, object]]:
+    """The (slot, value) pairs ``gate`` holds now, in slot order, read as
+    ``holds`` reads them: what ``list(vars(gate).items())`` gave before gates
+    held their fields in slots."""
+    return [(slot, object.__getattribute__(gate, slot))
+            for slot in type(gate).__slots__ if holds(gate, slot)]
 
 
 def count_named_builds(monkeypatch) -> list[str]:

@@ -8,6 +8,7 @@ import pytest
 
 import qpf.cli as cli
 import qpf.hhl as hhl_module
+from helpers import benchmark_network_dict
 from qpf.cli import build_parser, main
 from qpf.grid import build_reduced_system, load_network
 from qpf.hhl import HHLConfig, run_hhl
@@ -227,6 +228,19 @@ def test_hhl_commands_refuse_a_circuit_over_the_cnot_budget(capsys, tmp_path, co
     assert (code, out) == (1, "")
     assert err == ("error: circuit lowers to up to 286836804 CNOTs, "
                    "over the 50000000-CNOT limit\n")
+
+
+def test_metrics_refuses_a_network_over_the_system_width_before_eigh(capsys, tmp_path,
+                                                                      monkeypatch):
+    def never(b):
+        raise AssertionError("eigendecomposed past the system-width limit")
+
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    path = write_network(tmp_path, benchmark_network_dict(2049, 5))
+    code, out, err = run_cli(capsys, "metrics", "--input", path, "--alpha", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: a system of dimension 2048 needs 11 solution qubits, "
+                   "over the 10-qubit limit\n")
 
 
 class TestCrossover:

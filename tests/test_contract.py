@@ -273,6 +273,7 @@ EXEMPT = {
     "SpectralScaling": "the checked output of choose_scaling",
     "build_qpe": "takes only the checked outputs of eigendecompose and choose_scaling",
     "CrossoverReport": "an output record",
+    "HHLPlan": "the checked output of plan_hhl",
     "HHLResult": "an output record",
     "NetworkStats": "an output record",
     "CircuitMetrics": "an output record",

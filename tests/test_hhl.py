@@ -12,7 +12,9 @@ from helpers import benchmark_ring, dense_unitary_deviation, exact_grid_system
 from qpf.errors import InputError, NumericalError, PostSelectionError
 from qpf.grid import ReducedSystem, solve_dc
 from qpf.hhl import (
+    MAX_SYSTEM_QUBITS,
     HHLConfig,
+    HHLPlan,
     _qft_gates,
     build_hhl_circuit,
     build_qpe,
@@ -539,6 +541,36 @@ def test_every_way_in_refuses_a_width_over_max_qubits(wscc9_system, monkeypatch)
     monkeypatch.setattr(hhl_module, "build_hhl_circuit", lambda eig, p_unit, scaling: None)
     _, scaling, beta, _ = plan_hhl(wscc9_system, HHLConfig(alpha=MAX_QUBITS - 4))
     assert beta + scaling.alpha + 1 == MAX_QUBITS
+
+
+class _ReachedEigh(Exception):
+    pass
+
+
+def test_a_system_over_max_system_qubits_is_refused_before_eigh(monkeypatch):
+    # A ring of 2^10 + 1 buses reduces to 1,024 dims and plans; one bus more
+    # needs an 11th solution qubit and is refused before its eigenbasis.
+    at_limit = benchmark_ring(2**MAX_SYSTEM_QUBITS + 1, 5)
+    over = benchmark_ring(2**MAX_SYSTEM_QUBITS + 2, 5)
+
+    def reached(b):
+        raise _ReachedEigh(b.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", reached)
+    with pytest.raises(_ReachedEigh, match=r"\(1024, 1024\)"):
+        plan_hhl(at_limit, HHLConfig(alpha=1))
+    with pytest.raises(InputError, match=r"^a system of dimension 1025 needs 11 solution "
+                                         r"qubits, over the 10-qubit limit$"):
+        plan_hhl(over, HHLConfig(alpha=1))
+
+
+def test_a_plan_reads_by_name_and_by_position(wscc9_system):
+    plan = plan_hhl(wscc9_system, HHLConfig(alpha=5))
+    assert type(plan) is HHLPlan and plan._fields == ("circuit", "scaling", "beta", "p_norm")
+    circuit, scaling, beta, p_norm = plan
+    assert plan.circuit is circuit and plan.scaling is scaling
+    assert (plan.beta, plan.p_norm) == (beta, p_norm) == (3, math.hypot(*wscc9_system.p))
+    assert plan.circuit.num_qubits == 9 and plan.scaling.alpha == 5
 
 
 class TestPadding:

@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import math
 import operator
+import pickle
 import re
 import warnings
 
@@ -15,10 +16,38 @@ import numpy as np
 import pytest
 
 import qpf.qsim.circuit as circuit_module
-from helpers import count_named_builds, dense_unitary_deviation, named_matrix, random_unitary
+from helpers import (
+    count_named_builds,
+    dense_unitary_deviation,
+    held_slots,
+    holds,
+    named_matrix,
+    random_unitary,
+)
 from qpf.errors import InputError
-from qpf.qsim import ControlledUnitary, SingleQubit, controlled_evolutions, h, phase, ry, rz, x
-from qpf.qsim.circuit import _NAMED, UNITARY_TOL, _check_unitary, _ry_matrix, _rz_matrix
+from qpf.qsim import (
+    Cnot,
+    ControlledUnitary,
+    SingleQubit,
+    UniformlyControlledRy,
+    controlled_evolutions,
+    h,
+    phase,
+    ry,
+    rz,
+    x,
+)
+from qpf.qsim.circuit import (
+    _NAMED,
+    MAX_EVOLUTION_QUBITS,
+    UNITARY_TOL,
+    _adjoint,
+    _check_unitary,
+    _rotation,
+    _ry_matrix,
+    _rz_matrix,
+    _unchecked,
+)
 
 
 def _two_by_twos(rng):
@@ -204,7 +233,7 @@ def test_named_gate_builds_its_matrix_on_first_read(rng, monkeypatch):
     for factory, params in factories:
         gate = factory(0, *params)
         inverse, twin, line = gate.inverse(), copy.copy(gate), gate.dump_line()
-        assert built == [] and "u" not in vars(gate)
+        assert built == [] and not holds(gate, "u")
         assert line == f"{gate.name} 0{''.join(f' {p!r}' for p in params)}"
         assert (inverse.name, inverse.params) == (gate.name, tuple(-p for p in params))
         assert (twin.name, twin.params) == (gate.name, params)
@@ -266,6 +295,9 @@ def test_named_gate_is_checked_when_made_not_when_read(name, params, message):
         if message is None:
             made = make().params
             assert len(made) == len(params) and all(map(operator.is_, made, params))
+            # The inverse negates the angle as given, an int as an int.
+            (inverse,) = make().inverse().params
+            assert type(inverse) is type(-params[0]) and inverse == -params[0]
         else:
             with pytest.raises(InputError, match=message):
                 make()
@@ -292,7 +324,9 @@ def test_helper_made_gate_is_the_constructor_made_gate(name, params):
     inverse, want_inverse = made.inverse(), want.inverse()
     for got, ref in ((made, want), (inverse, want_inverse)):
         assert type(got) is SingleQubit
-        assert list(vars(got).items()) == list(vars(ref).items())  # no u yet
+        assert held_slots(got) == held_slots(ref)  # no u yet
+        assert ([getattr(got, f.name) for f in dataclasses.fields(got) if f.name != "u"]
+                == [getattr(ref, f.name) for f in dataclasses.fields(ref) if f.name != "u"])
         assert got.dump_line() == ref.dump_line()
         assert np.array_equal(got.u, ref.u) and got.u.dtype == ref.u.dtype
         assert repr(got) == repr(ref)
@@ -313,6 +347,64 @@ def test_single_qubit_keeps_its_dataclass_fields_and_frozenness(make):
                 setattr(gate, attr, value)
         assert (gate.target, gate.params) == (1, make().params)
     assert np.array_equal(gate.u, make().u)
+
+
+def _one_of_each_kind(rng) -> list:
+    return [SingleQubit(1, random_unitary(rng, 2)), h(0), rz(1, -0.3), _rotation("P", 2, 0.7),
+            Cnot(0, 1), ControlledUnitary((2,), (0, 1), random_unitary(rng, 4), control_pattern=0),
+            UniformlyControlledRy((1,), 0, [0.1, 0.2])]
+
+
+def test_no_gate_has_an_instance_dict(rng):
+    for gate in _one_of_each_kind(rng):
+        assert not hasattr(gate, "__dict__"), gate
+        for attr in ("u", "params"):
+            if attr in type(gate).__slots__:
+                getattr(gate, attr)
+        assert not hasattr(gate, "__dict__"), gate
+        with pytest.raises(AttributeError):
+            object.__setattr__(gate, "extra", 0)
+
+
+@pytest.mark.parametrize("name", ["RY", "RZ", "P"])
+def test_a_lowered_gate_builds_its_params_once_as_its_angle(name):
+    angle = -1.25
+    gate = _rotation(name, 2, angle)
+    assert held_slots(gate) == [("target", 2), ("name", name), ("_angle", angle)]
+    params = gate.params
+    assert params == (angle,) and params[0] is angle
+    assert gate.params is params and not holds(gate, "u")
+    assert held_slots(gate) == [("target", 2), ("name", name), ("params", params),
+                                ("_angle", angle)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate._angle = 0.0
+
+
+def test_copies_hold_the_slots_their_gate_holds(rng, monkeypatch):
+    # copy and pickle build neither u nor params for the copy.
+    built = count_named_builds(monkeypatch)
+    for copier in (copy.copy, lambda gate: pickle.loads(pickle.dumps(gate))):
+        for gate in _one_of_each_kind(rng):
+            twin = copier(gate)
+            assert type(twin) is type(gate)
+            if isinstance(gate, SingleQubit):
+                assert [s for s, _ in held_slots(twin)] == [s for s, _ in held_slots(gate)]
+            assert twin.dump_line() == gate.dump_line()
+    assert built == []
+
+
+def test_unchecked_and_adjoint_carry_every_field_of_each_kind(rng):
+    for gate in _one_of_each_kind(rng):
+        names = [f.name for f in dataclasses.fields(gate)]
+        twin = _unchecked(type(gate), **{name: getattr(gate, name) for name in names})
+        assert type(twin) is type(gate)
+        assert all(getattr(twin, name) is getattr(gate, name) for name in names)
+        if isinstance(gate, ControlledUnitary) or getattr(gate, "name", None) == "U":
+            adjoint = _adjoint(gate)
+            assert type(adjoint) is type(gate)
+            assert all(getattr(adjoint, name) is getattr(gate, name)
+                       for name in names if name != "u")
+            assert np.array_equal(adjoint.u, gate.u.conj().T)
 
 
 def _eigenbasis(rng, dim):
@@ -388,18 +480,17 @@ def test_an_evolution_reusing_a_qubit_is_refused(rng, controls):
                               rng.normal(size=(len(controls), 8)))
 
 
-def test_past_the_bounded_width_each_evolution_is_checked(rng, monkeypatch):
-    # Where one check of the basis no longer bounds every evolution, each is
-    # checked as a caller's matrix is, and the basis is not.
-    monkeypatch.setattr(circuit_module, "_MAX_BASIS_CHECKED_DIM", 4)
+def test_evolutions_up_to_the_width_limit_are_made_and_past_it_refused(rng, monkeypatch):
+    # One check of the basis bounds every evolution up to 2^10 dims; a wider
+    # register is refused before its arrays are read.
     calls = []
     check = circuit_module._check_unitary
     monkeypatch.setattr(circuit_module, "_check_unitary",
                         lambda *a: calls.append(a) or check(*a))
-    v, phases = _eigenbasis(rng, 8), rng.normal(size=(2, 8))
-    gates = controlled_evolutions((3, 4), (0, 1, 2), v, phases)
-    assert len(calls) == 2
-    assert all(u is g.u and dim == 8 for (u, dim), g in zip(calls, gates))
-    v[:, 1] *= 1 + 1e-8
-    with pytest.raises(InputError, match=r"^matrix not unitary \(deviation 2\.\d\de-08\)$"):
-        controlled_evolutions((3, 4), (0, 1, 2), v, phases)
+    v = _eigenbasis(rng, 2**MAX_EVOLUTION_QUBITS)
+    (gate,) = controlled_evolutions((10,), tuple(range(10)), v, rng.normal(size=(1, 1024)))
+    assert gate.u.shape == (1024, 1024) and len(calls) == 1 and calls[0][0] is v
+    monkeypatch.setattr(circuit_module, "as_array", _never)
+    monkeypatch.setattr(circuit_module, "_check_unitary", _never)
+    with pytest.raises(InputError, match=r"^evolutions on 11 qubits are over the 10-qubit limit$"):
+        controlled_evolutions((11,), tuple(range(11)), np.eye(2), np.zeros((1, 2)))

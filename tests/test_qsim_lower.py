@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -13,6 +14,8 @@ from helpers import (
     count_named_builds,
     dense_circuit,
     gate_qubit_set,
+    held_slots,
+    holds,
     is_lowered,
     random_circuit,
     random_unitary,
@@ -252,13 +255,19 @@ def test_lowered_named_gates_are_what_the_public_helpers_make(wscc9_system):
     made = {id(g): g for g in lower_to_basis(circuit).gates
             if isinstance(g, SingleQubit) and g.name in helpers}.values()
     assert {g.name for g in made} == set(helpers)
-    assert any(g.params[0] < 0 for g in made) and any(g.params[0] > 0 for g in made)
+    fields = [f.name for f in dataclasses.fields(SingleQubit) if f.name != "u"]
     for gate in made:
-        want = helpers[gate.name](gate.target, gate.params[0])
-        assert list(vars(gate).items()) == list(vars(want).items())
-        assert "u" not in vars(gate)
-        assert sys.getsizeof(vars(gate)) == sys.getsizeof(vars(want))
-        assert gate.inverse().params == (-gate.params[0],)
+        # Lowered, a gate holds its angle alone: u and params wait for a read.
+        assert [slot for slot, _ in held_slots(gate)] == ["target", "name", "_angle"]
+        angle = object.__getattribute__(gate, "_angle")
+        want = helpers[gate.name](gate.target, angle)
+        assert held_slots(want) == [("target", gate.target), ("name", gate.name),
+                                    ("params", (angle,)), ("_angle", angle)]
+        assert sys.getsizeof(gate) == sys.getsizeof(want)
+        assert [getattr(gate, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert gate.params[0] is angle
+        assert gate.inverse().params == (-angle,)
+    assert any(g.params[0] < 0 for g in made) and any(g.params[0] > 0 for g in made)
 
 
 @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])

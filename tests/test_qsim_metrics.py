@@ -1,4 +1,8 @@
 import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +170,18 @@ def test_budget_admits_a_bound_equal_to_it(wscc9_system, monkeypatch):
     monkeypatch.setattr(metrics_module, "MAX_LOWERED_CNOTS", 14119)
     with pytest.raises(InputError, match="up to 14120 CNOTs, over the 14119-CNOT limit"):
         metrics(circuit)
+
+
+def test_time_metrics_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "time_metrics.py"
+    done = subprocess.run([sys.executable, str(script), "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert sum("lower_to_basis median" in line for line in lines) == 4
+    assert lines[0].startswith("wscc9-a5   9/56963/23550  ")
+    assert sum("plan_hhl median" in line for line in lines) == 3
+    assert sum("run_hhl alpha 3..6 cycle median" in line for line in lines) == 1
+    gc_lines = [line for line in lines if "gc over 80 calls" in line]
+    assert len(gc_lines) == 1
+    assert re.search(r"collections gen0/gen1/gen2 \d+/\d+/\d+  \d+\.\d+ s of", gc_lines[0])

@@ -23,8 +23,9 @@ from qpf.cli import build_parser, main
 from qpf.complexity import CROSSOVER_SAMPLES, MAX_SWEEP_STEPS, SEARCH_RANGE
 from qpf.errors import InputError
 from qpf.grid import parse_network
+from qpf.hhl import MAX_SYSTEM_QUBITS
 from qpf.qsim import Circuit, Cnot, ControlledUnitary, UniformlyControlledRy, dump, h, ry
-from qpf.qsim.circuit import _MAX_BASIS_CHECKED_DIM, MAX_QUBITS, UNITARY_TOL
+from qpf.qsim.circuit import MAX_EVOLUTION_QUBITS, MAX_QUBITS, UNITARY_TOL
 from qpf.qsim.metrics import MAX_LOWERED_CNOTS
 from qpf.qsim.simulate import MIN_POST_SELECT_PROB
 
@@ -128,8 +129,12 @@ def test_stated_limits_are_the_codes():
         f"{CROSSOVER_SAMPLES}-point log grid over n ∈ [{lo:g}, 1e{round(math.log10(hi))}]",
         f"`steps` in [1, 10^{round(math.log10(MAX_SWEEP_STEPS))}]",
         f"`qpf.qsim.metrics.MAX_LOWERED_CNOTS` = {MAX_LOWERED_CNOTS // 10**7}·10^7",
-        f"up to 2^β = {_MAX_BASIS_CHECKED_DIM} dimensions, "
+        f"up to 2^β = {2**MAX_EVOLUTION_QUBITS} dimensions, "
         f"‖VᵀV − I‖_max ≤ {UNITARY_TOL:g}/(4·2^β)",
+        f"`qpf.hhl.MAX_SYSTEM_QUBITS` = {MAX_SYSTEM_QUBITS} (2^{MAX_SYSTEM_QUBITS} = "
+        f"{2**MAX_SYSTEM_QUBITS} dimensions, {2**MAX_SYSTEM_QUBITS + 1:,} buses",
+        f"(`hhl.MAX_SYSTEM_QUBITS` = {MAX_SYSTEM_QUBITS})",
+        f"more than {2**MAX_SYSTEM_QUBITS} dimensions (β over {MAX_SYSTEM_QUBITS} qubits)",
     ]:
         assert phrase in text
 
