@@ -132,7 +132,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     for name, (make_network, alpha) in CASES.items():
-        circuit, *_ = plan_hhl(build_reduced_system(make_network()), HHLConfig(alpha=alpha))
+        circuit = plan_hhl(build_reduced_system(make_network()), HHLConfig(alpha=alpha)).circuit
         lower_times = [timed(lower_to_basis, circuit)[0] for _ in range(args.repeats)]
         metrics_times = []
         for _ in range(args.repeats):

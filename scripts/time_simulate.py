@@ -82,7 +82,7 @@ def main() -> None:
         text = netgen.network_json(buses, seed)
         network = parse_network(text)
         system = build_reduced_system(network)
-        circuit, *_ = plan_hhl(system, config)
+        circuit = plan_hhl(system, config).circuit
         width = circuit.num_qubits
         state = np.full(2**width, 2 ** (-width / 2), dtype=complex)
         groups: dict[str, list] = {}
@@ -109,8 +109,7 @@ def main() -> None:
         print(f"  apply_circuit from |0...0>      {ms:8.3f} ms")
 
         def plan_and_simulate():
-            planned, *_ = plan_hhl(system, config)
-            apply_circuit(zero_state(width), planned)
+            apply_circuit(zero_state(width), plan_hhl(system, config).circuit)
 
         ms = median_ms(plan_and_simulate, args.repeats)
         print(f"  plan_hhl + apply_circuit        {ms:8.3f} ms")

@@ -195,8 +195,7 @@ def _cmd_stats(args) -> str:
 
 def _cmd_metrics(args) -> str:
     system = build_reduced_system(_load(args))
-    circuit, *_ = plan_hhl(system, HHLConfig(alpha=args.alpha))
-    result = circuit_metrics(circuit)
+    result = circuit_metrics(plan_hhl(system, HHLConfig(alpha=args.alpha)).circuit)
     if args.format == "text":
         return (f"width  {result.width}\ndepth  {result.depth}\n"
                 f"cnots  {result.cnot_count}\n")

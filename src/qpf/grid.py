@@ -24,6 +24,12 @@ import numpy as np
 
 from qpf.errors import InputError, NumericalError, as_array, as_real
 
+# The most buses a network may have.  Its dense susceptance matrix and the
+# reduced copy are 128 MiB each at 4,097 buses, where ``qpf stats`` peaks at
+# 304 MiB RSS and ``qpf solve --method classical`` at 430 MiB (seed-5 rings of
+# ``perfbench/netgen.py``); a larger network is refused before any matrix.
+MAX_BUSES = 4097
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -98,6 +104,9 @@ def network_from_dict(data: dict) -> Network:
     _require_keys(data, {"base_mva": (int, float), "buses": list, "branches": list},
                   "network")
     base_mva = as_real(data["base_mva"], "base_mva", 0)
+    if len(data["buses"]) > MAX_BUSES:
+        raise InputError(f"a network of {len(data['buses'])} buses is over the "
+                         f"{MAX_BUSES}-bus limit")
 
     buses = []
     for i, entry in enumerate(data["buses"]):

@@ -1,6 +1,7 @@
 """HHL pipeline for the reduced DC power-flow system.
 
-Register layout on width alpha + beta + 1 (qubit 0 = least significant):
+Register layout on width alpha + beta + 1 (qubit 0 = least significant),
+as ``_register`` gives it:
 
     solution |x>   qubits 0 .. beta-1       amplitude-encodes p, then B^-1 p
     clock          qubits beta .. beta+alpha-1
@@ -47,6 +48,12 @@ from qpf.qsim import (
     zero_state,
 )
 from qpf.qsim.circuit import MAX_EVOLUTION_QUBITS, MAX_QUBITS
+
+
+def _register(beta: int, alpha: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The solution qubits, the clock qubits and the ancilla of the layout above."""
+    return tuple(range(beta)), tuple(range(beta, beta + alpha)), beta + alpha
+
 
 # The widest solution register a plan takes, the widest target register of the
 # QPE's evolutions: 2^10 = 1,024 dims, a network of up to 1,025 buses, 16 MiB
@@ -186,13 +193,12 @@ def build_qpe(eig: EigenDecomposition, scaling: SpectralScaling) -> Circuit:
     if 2**beta != dim:
         raise InputError("eigendecomposition dimension must be a power of two")
     alpha = scaling.alpha
-    clock = tuple(range(beta, beta + alpha))
-    targets = tuple(range(beta))
+    solution, clock, _ = _register(beta, alpha)
     circuit = Circuit(beta + alpha)
     for q in clock:
         circuit.append(h(q))
     phases = [eig.lambdas * scaling.t * 2**k for k in range(alpha)]
-    circuit.extend(controlled_evolutions(clock, targets, eig.vectors, phases))
+    circuit.extend(controlled_evolutions(clock, solution, eig.vectors, phases))
     for gate in reversed(_qft_gates(clock)):
         circuit.append(gate.inverse())
     return circuit
@@ -223,8 +229,7 @@ def build_hhl_circuit(
     if len(p_unit) != len(eig.lambdas):
         raise InputError(f"p_unit has {len(p_unit)} entries for {len(eig.lambdas)} eigenpairs")
     qpe = build_qpe(eig, scaling)
-    ancilla = qpe.num_qubits
-    clock = tuple(range(ancilla - scaling.alpha, ancilla))
+    _, clock, ancilla = _register(qpe.num_qubits - scaling.alpha, scaling.alpha)
     circuit = Circuit(ancilla + 1)
     circuit.extend(prepare_state(p_unit))
     circuit.extend(qpe)
@@ -282,40 +287,40 @@ def plan_hhl(system: ReducedSystem, config: HHLConfig) -> HHLPlan:
     return HHLPlan(build_hhl_circuit(eig, p_unit, scaling), scaling, beta, p_norm)
 
 
-def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:
-    """Simulate the pipeline and score it against the classical solve."""
-    circuit, scaling, beta, p_norm = plan_hhl(system, config)
-    state = apply_circuit(zero_state(circuit.num_qubits), circuit)
-    selected = post_select(state, circuit.num_qubits - 1, 1)
-
-    # Solution amplitudes live at clock = 0 on the ancilla-1 branch; whatever
-    # mass the uncompute left on other clock values is reported as leak.
-    amplitudes = selected.state.reshape(2, 2**scaling.alpha, -1)[1, 0]  # [ancilla, clock]
+def _read_out(plan: HHLPlan, state: np.ndarray, system: ReducedSystem) -> tuple:
+    """Post-select ``plan``'s final ``state`` on ancilla 1: the clock-0 amplitudes of
+    that branch, the success probability, the leak to other clock values, the unit
+    solution over the system's n entries (largest |entry| positive) and |B^-1 p| as
+    recovered."""
+    alpha = plan.scaling.alpha
+    selected = post_select(state, _register(plan.beta, alpha)[2], 1)
+    amplitudes = selected.state.reshape(2, 2**alpha, -1)[1, 0]  # [ancilla, clock]
     kept = float(np.sum(np.abs(amplitudes) ** 2))
-    leak = 1.0 - kept
-
     unit = amplitudes / math.sqrt(kept)
     pivot = unit[int(np.argmax(np.abs(unit)))]
-    unit = unit * (pivot.conjugate() / abs(pivot))
-    solution = np.real(unit)[: len(system.p)]
-    solution = solution / np.linalg.norm(solution)
+    solution = np.real(unit * (pivot.conjugate() / abs(pivot)))[: len(system.p)]
+    recovered = math.sqrt(selected.probability) / plan.scaling.c * plan.p_norm
+    return (amplitudes, float(selected.probability), 1.0 - kept,
+            solution / np.linalg.norm(solution), float(recovered))
 
-    classical = solve_dc(system)
-    result_fidelity = fidelity(classical, solution)
-    recovered = math.sqrt(selected.probability) / scaling.c * p_norm
 
+def run_hhl(system: ReducedSystem, config: HHLConfig = HHLConfig()) -> HHLResult:
+    """Plan, simulate and read out the pipeline, and score it against the classical solve."""
+    plan = plan_hhl(system, config)
+    state = apply_circuit(zero_state(plan.circuit.num_qubits), plan.circuit)
+    _, probability, leak, solution, recovered = _read_out(plan, state, system)
     return HHLResult(
         solution_unit=solution,
-        success_probability=float(selected.probability),
-        recovered_norm=float(recovered),
-        fidelity=float(result_fidelity),
-        residual_clock_leak=float(leak),
-        metrics=metrics(circuit),
+        success_probability=probability,
+        recovered_norm=recovered,
+        fidelity=fidelity(solve_dc(system), solution),
+        residual_clock_leak=leak,
+        metrics=metrics(plan.circuit),
         config={
-            "alpha": scaling.alpha,
-            "beta": beta,
-            "t": scaling.t,
-            "c": scaling.c,
+            "alpha": plan.scaling.alpha,
+            "beta": plan.beta,
+            "t": plan.scaling.t,
+            "c": plan.scaling.c,
             "t_override": config.t_override,
             "c_override": config.c_override,
             "readout": "exact",

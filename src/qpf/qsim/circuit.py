@@ -8,24 +8,24 @@ row/column index.
 
 Gates are slotted frozen dataclasses, one class per kind holding all of that
 kind's behaviour (see ``Gate``), that check themselves once, when made
-(distinct qubits, a given numeric matrix unitary, an int pattern that fits,
-the angle count, finite real angles); ``controlled_evolutions`` makes the
-QPE's ``ControlledUnitary`` family, V e^{i phi_k} V^T for one real V of at
-most ``MAX_EVOLUTION_QUBITS`` qubits, with one check of V in place of one per
-matrix.  A Circuit is an ordered gate list over a
-fixed-width register whose ``append`` checks only the gate kind and the
-width.  The splice rule: gates that come from an already-checked circuit join
-the list without that per-gate check.  ``extend`` of a Circuit checks once
-that it is no wider; ``inverse`` lists each gate's inverse, on that gate's
-qubits; ``lower_to_basis`` splices in lowered blocks, each on the qubits of an
-input gate.  So every stored circuit is well-formed by construction.  A
-named gate builds its matrix only when ``u`` is first read, so lowering and
-counting, which never read it, build none.  No gate has an instance
-``__dict__``: each holds its fields in slots.  The RY, RZ and P gates that
-lowering makes, and every named inverse, come from ``_rotation``, which
-checks only that the angle is finite and keeps it in one private slot, so
-such a gate is one small object; its ``params`` tuple, like ``u``, is built
-on first read.
+(distinct qubits, a given numeric matrix unitary, the angle count, finite
+real angles); a controlled gate acts where all its controls read 1.
+``controlled_evolutions`` makes the QPE's ``ControlledUnitary`` family, V
+e^{i phi_k} V^T for one real V of at most ``MAX_EVOLUTION_QUBITS`` qubits,
+with one check of V in place of one per matrix.  A Circuit is an ordered
+gate list over a fixed-width register whose ``append`` checks only the gate
+kind and the width.  The splice rule: gates that come from an
+already-checked circuit join the list without that per-gate check.
+``extend`` of a Circuit checks once that it is no wider; ``inverse`` lists
+each gate's inverse, on that gate's qubits; ``lower_to_basis`` splices in
+lowered blocks, each on the qubits of an input gate.  So every stored
+circuit is well-formed by construction.  A named gate builds its matrix only
+when ``u`` is first read, so lowering and counting, which never read it,
+build none.  No gate has an instance ``__dict__``: each holds its fields in
+slots.  The RY, RZ and P gates that lowering makes, and every named inverse,
+come from ``_rotation``, which checks only that the angle is finite and
+keeps it in one private slot, so such a gate is one small object; its
+``params`` tuple, like ``u``, is built on first read.
 """
 
 from __future__ import annotations
@@ -90,10 +90,9 @@ class Gate:
     needs the gate alone once, when it is made (in ``__post_init__``, or in
     ``SingleQubit.__init__``), and defines ``qubits`` (controls included),
     ``inverse()``, ``dump_line()`` and ``controlled_form()``: the
-    ``(controls, pattern, targets, u)`` the simulator applies, ``u`` acting on
-    ``targets`` (``targets[j]`` is matrix bit j) where control i reads bit i
-    of ``pattern``; a stack ``u[m]`` acts on the low target bits where the
-    high ones read m.
+    ``(controls, targets, u)`` the simulator applies, ``u`` acting on
+    ``targets`` (``targets[j]`` is matrix bit j) where every control reads 1;
+    a stack ``u[m]`` acts on the low target bits where the high ones read m.
 
     Only a matrix a caller gives is checked for unitarity, once, when its gate
     is made: a named gate is unitary by construction from its checked params,
@@ -236,7 +235,7 @@ class SingleQubit(Gate):
         return f"{self.name} {self.target}{tail}"
 
     def controlled_form(self):
-        return (), 0, (self.target,), self.u
+        return (), (self.target,), self.u
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,32 +258,20 @@ class Cnot(Gate):
         return f"CNOT {self.target} [{self.control}]"
 
     def controlled_form(self):
-        return (self.control,), 1, (self.target,), _X
+        return (self.control,), (self.target,), _X
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ControlledUnitary(Gate):
-    """``u`` acts on ``targets`` when every control qubit matches its pattern bit.
-
-    ``control_pattern`` bit i is the required value of ``controls[i]``
-    (all-ones by default, i.e. the ordinary controlled gate).
-    """
+    """``u`` acts on ``targets`` when every control qubit reads 1."""
 
     controls: tuple[int, ...]
     targets: tuple[int, ...]
     u: np.ndarray
-    control_pattern: int = -1  # -1 means "all ones"
 
     def __post_init__(self) -> None:
         _check_distinct(self.qubits)
         _check_unitary(self.u, 2 ** len(self.targets))
-        as_int(self.control_pattern, "control_pattern", -1, 2 ** len(self.controls) - 1)
-
-    @property
-    def pattern(self) -> int:
-        if self.control_pattern < 0:
-            return (1 << len(self.controls)) - 1
-        return self.control_pattern
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -296,10 +283,10 @@ class ControlledUnitary(Gate):
     def dump_line(self) -> str:
         ts = " ".join(map(str, self.targets))
         cs = " ".join(map(str, self.controls))
-        return f"CU {ts} [{cs}] {self.pattern} {_complex_fields(self.u)}"
+        return f"CU {ts} [{cs}] {(1 << len(self.controls)) - 1} {_complex_fields(self.u)}"
 
     def controlled_form(self):
-        return self.controls, self.pattern, self.targets, self.u
+        return self.controls, self.targets, self.u
 
 
 def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
@@ -341,8 +328,7 @@ def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
         u = np.empty((dim, dim), dtype=complex)
         u.real = (v * np.cos(angles)) @ v.T
         u.imag = (v * np.sin(angles)) @ v.T
-        gates.append(_unchecked(ControlledUnitary, controls=(control,), targets=targets,
-                                u=u, control_pattern=-1))
+        gates.append(_unchecked(ControlledUnitary, controls=(control,), targets=targets, u=u))
     return gates
 
 
@@ -375,7 +361,7 @@ class UniformlyControlledRy(Gate):
         return f"UCRY {self.target} [{cs}] {_fmt(self.angles)}"
 
     def controlled_form(self):
-        return (), 0, (self.target, *self.controls), _ry_matrix(self.angles)
+        return (), (self.target, *self.controls), _ry_matrix(self.angles)
 
 
 def h(target: int) -> SingleQubit:
@@ -468,7 +454,7 @@ class Circuit:
 #   RY 2 0.7853981633974483      rotation angle in radians
 #   U 1 re im re im re im re im  anonymous 2x2, row-major
 #   CNOT 2 [0]                   target 2, control 0
-#   CU 0 1 [3 4] 3 re im ...     targets, controls, pattern int, matrix row-major
+#   CU 0 1 [3 4] 3 re im ...     targets, controls, 2^c - 1, matrix row-major
 #   UCRY 5 [2 3] a0 a1 a2 a3     target, controls, 2^k angles
 #
 # Floats are written with repr precision, so each one reads back bit for bit.

@@ -158,10 +158,10 @@ def _lower_ucry(gate: UniformlyControlledRy, memo: _Memo, out: list[Gate]) -> No
 
 def _lower_cu(gate: ControlledUnitary, factors: list, memo: _Memo, out: list[Gate]) -> None:
     # Local register: targets first (low bits), controls above them, so the
-    # gate is identity but on the 2^m basis states from pattern << m up, where
-    # it acts as u: decomposing u alone and offsetting its indices suffices.
+    # gate is identity but on the top 2^m basis states, where every control
+    # reads 1 and it acts as u: decomposing u and offsetting its indices suffices.
     local = list(gate.targets) + list(gate.controls)
-    base = gate.pattern << len(gate.targets)
+    base = ((1 << len(gate.controls)) - 1) << len(gate.targets)
     for i1, i2, v in factors:
         _two_level_gates(base + i1, base + i2, v, local, memo, out)
 

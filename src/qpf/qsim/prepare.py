@@ -4,7 +4,7 @@ controlled Ry rotations.
 Level l of the tree rotates qubit beta-1-l, conditioned on the l more
 significant address bits: internal levels split probability mass between the
 two halves of each index group (angles from subvector norms), and the leaf
-level uses signed atan2 angles so arbitrary sign patterns come out exactly.
+level uses signed atan2 angles so entries of any sign come out exactly.
 """
 
 from __future__ import annotations

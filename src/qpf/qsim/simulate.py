@@ -69,13 +69,12 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     gathered, product = np.empty_like(out), np.empty_like(out)
     perms: dict[tuple, list[int]] = {}  # targets -> axis order putting them first
     for gate in circuit.gates:
-        controls, pattern, targets, u = gate.controlled_form()
+        controls, targets, u = gate.controlled_form()
         for t in targets:
             view[_axis(n, t)] = slice(None)
         sel = view.copy()
-        for i, c in enumerate(controls):
-            bit = (pattern >> i) & 1
-            sel[_axis(n, c)] = slice(bit, bit + 1)
+        for c in controls:
+            sel[_axis(n, c)] = slice(1, 2)
         if u.shape == (2, 2) and (u[0, 1] == 0 == u[1, 0] or u[0, 0] == 0 == u[1, 1]):
             _apply_sparse_2x2(psi, sel, _axis(n, targets[0]), u, gathered)
             continue

@@ -22,6 +22,7 @@ from qpf.qsim import (
     ControlledUnitary,
     SingleQubit,
     UniformlyControlledRy,
+    x,
 )
 from qpf.qsim.circuit import _NAMED
 
@@ -55,8 +56,7 @@ def dense_gate(gate, n: int) -> np.ndarray:
     elif isinstance(gate, ControlledUnitary):
         m = len(gate.targets)
         for col in range(size):
-            ctrl_val = sum(((col >> c) & 1) << i for i, c in enumerate(gate.controls))
-            if ctrl_val != gate.pattern:
+            if not all((col >> c) & 1 for c in gate.controls):
                 mat[col, col] += 1.0
                 continue
             t_in = sum(((col >> t) & 1) << i for i, t in enumerate(gate.targets))
@@ -146,8 +146,19 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def on_pattern(controls: tuple[int, ...], targets: tuple[int, ...], u: np.ndarray,
+               pattern: int) -> list:
+    """Gates that apply ``u`` to ``targets`` where control i reads bit i of
+    ``pattern``: the all-ones ``ControlledUnitary`` between X gates on each
+    control whose bit is 0, in control order."""
+    flips = [x(c) for i, c in enumerate(controls) if not pattern >> i & 1]
+    return [*flips, ControlledUnitary(controls, targets, u), *flips]
+
+
 def random_circuit(rng: np.random.Generator, n: int, length: int) -> Circuit:
-    """Random circuit mixing every gate kind (patterns included)."""
+    """Random circuit of ``length`` steps mixing every gate kind; a controlled
+    unitary step reads a random control pattern (``on_pattern``), so it is
+    one to 2c + 1 gates."""
     circuit = Circuit(n)
     for _ in range(length):
         kind = int(rng.integers(0, 4))
@@ -162,10 +173,8 @@ def random_circuit(rng: np.random.Generator, n: int, length: int) -> Circuit:
             targets = tuple(qs[:n_targets])
             controls = tuple(qs[n_targets : n_targets + n_controls])
             pattern = int(rng.integers(0, 2**n_controls))
-            circuit.append(
-                ControlledUnitary(
-                    controls, targets, random_unitary(rng, 2**n_targets), pattern
-                )
+            circuit.extend(
+                on_pattern(controls, targets, random_unitary(rng, 2**n_targets), pattern)
             )
         else:
             n_controls = int(rng.integers(0, n))

@@ -230,10 +230,9 @@ ROWS = {
     "Cnot": (lambda control, target: _exercise(Cnot(control, target)),
              st.tuples(indices, indices)),
     "ControlledUnitary": (
-        lambda controls, targets, u, pattern: _exercise(
-            ControlledUnitary(controls, targets, u, control_pattern=pattern)),
+        lambda controls, targets, u: _exercise(ControlledUnitary(controls, targets, u)),
         st.tuples(st.sampled_from(QUBIT_TUPLES), st.sampled_from(QUBIT_TUPLES[:3] + [(0,)]),
-                  st.sampled_from(UNITARIES), indices)),
+                  st.sampled_from(UNITARIES))),
     "SingleQubit": (
         lambda target, u, name, params: _exercise(SingleQubit(target, u, name, params)),
         st.tuples(indices, st.sampled_from(UNITARIES),
@@ -338,7 +337,6 @@ CASES = st.sampled_from(sorted(ROWS)).flatmap(
 @example(case=("post_select", (np.array([1, 0], dtype=complex), 0.5, 0)))
 @example(case=("Circuit", (1.5, [])))
 @example(case=("Circuit", (True, [])))
-@example(case=("ControlledUnitary", ((1,), (0,), np.eye(2, dtype=complex), 0.5)))
 @example(case=("zero_state", (-1,)))
 @example(case=("choose_scaling", (3, "x", None)))
 @example(case=("sweep", (1.0, (10.0, 100.0), 5.5)))
@@ -387,7 +385,7 @@ def test_every_row_runs_a_valid_call(name):
         "load_network": (WSCC9,),
         "sweep": (34.0, (10.0, 100.0), 5), "t_classical": (4.0,),
         "t_quantum": (4,), "Circuit": (3, [h(0)]), "Cnot": (np.int64(0), 1),
-        "ControlledUnitary": ((1,), (0,), np.eye(2), 1),
+        "ControlledUnitary": ((1,), (0,), np.eye(2)),
         "SingleQubit": (0, None, "RZ", (np.float32(0.5),)),
         "UniformlyControlledRy": ((1,), 0, [0.1, 0.2]),
         "controlled_evolutions": ((1, 2), (0,), [[0.6, 0.8], [-0.8, 0.6]], [[0.5, 1], [2, 0]]),

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import benchmark_network, full_susceptance_by_loop
+import qpf.grid as grid_module
+from helpers import benchmark_network, benchmark_network_dict, full_susceptance_by_loop
 from qpf.cli import main
 from qpf.errors import InputError, NumericalError
 from qpf.grid import (
+    MAX_BUSES,
     ReducedSystem,
     build_reduced_system,
     full_susceptance,
@@ -270,6 +272,23 @@ SUSCEPTANCE_CASES = {
 def test_full_susceptance_is_the_branch_loop_bit_for_bit(make):
     network = make()
     assert full_susceptance(network).tobytes() == full_susceptance_by_loop(network).tobytes()
+
+
+def test_a_network_over_max_buses_is_refused_before_any_matrix(tmp_path, monkeypatch,
+                                                               capsys):
+    def never(network):
+        raise AssertionError("built a susceptance matrix past the bus limit")
+
+    monkeypatch.setattr(grid_module, "full_susceptance", never)
+    over = benchmark_network_dict(MAX_BUSES + 1, 5)
+    message = f"a network of {MAX_BUSES + 1} buses is over the {MAX_BUSES}-bus limit"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build_reduced_system(network_from_dict(over))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(over))
+    assert main(["solve", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert len(network_from_dict(benchmark_network_dict(MAX_BUSES, 5)).buses) == MAX_BUSES
 
 
 def test_load_network_missing_file(tmp_path):

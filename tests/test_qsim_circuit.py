@@ -213,7 +213,7 @@ def test_inverse_is_the_exact_conjugate_transpose(rng):
     gates = [
         SingleQubit(1, random_unitary(rng, 2)),
         ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)),
-        ControlledUnitary((0, 2), (1,), random_unitary(rng, 2), control_pattern=1),
+        ControlledUnitary((0, 2), (1,), random_unitary(rng, 2)),
         ControlledUnitary((), (2, 0, 1), random_unitary(rng, 8)),
     ]
     for gate in gates:
@@ -351,7 +351,7 @@ def test_single_qubit_keeps_its_dataclass_fields_and_frozenness(make):
 
 def _one_of_each_kind(rng) -> list:
     return [SingleQubit(1, random_unitary(rng, 2)), h(0), rz(1, -0.3), _rotation("P", 2, 0.7),
-            Cnot(0, 1), ControlledUnitary((2,), (0, 1), random_unitary(rng, 4), control_pattern=0),
+            Cnot(0, 1), ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)),
             UniformlyControlledRy((1,), 0, [0.1, 0.2])]
 
 
@@ -421,7 +421,7 @@ def test_evolutions_are_v_exp_i_phases_v_transposed(rng, beta):
     gates = controlled_evolutions(controls, targets, v, phases)
     assert [type(g) for g in gates] == [ControlledUnitary] * 3
     for gate, control, row in zip(gates, controls, phases):
-        assert (gate.controls, gate.targets, gate.pattern) == ((control,), targets, 1)
+        assert (gate.controls, gate.targets) == ((control,), targets)
         np.testing.assert_allclose(gate.u, (v * np.exp(1j * row)) @ v.T, rtol=0, atol=1e-12)
         assert dense_unitary_deviation(gate.u) <= UNITARY_TOL
 

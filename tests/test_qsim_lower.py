@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,20 @@ from helpers import (
     held_slots,
     holds,
     is_lowered,
+    on_pattern,
     random_circuit,
     random_unitary,
     sqrt_2x2_alone,
 )
 from qpf.errors import InputError
-from qpf.hhl import HHLConfig, plan_hhl, run_hhl
+from qpf.hhl import (
+    HHLConfig,
+    build_hhl_circuit,
+    choose_scaling,
+    eigendecompose,
+    plan_hhl,
+    run_hhl,
+)
 from qpf.qsim import (
     Circuit,
     Cnot,
@@ -122,10 +132,10 @@ def test_ucry_ladder_reads_each_gray_code_once(rng, monkeypatch):
 
 
 def test_zero_pattern_controls(rng):
-    # Pattern 0 means "fire when every control reads 0".
+    # Pattern 0, "fire when every control reads 0": X on each control around
+    # the all-ones gate.
     u = random_unitary(rng, 2)
-    gate = ControlledUnitary((1, 2), (0,), u, control_pattern=0)
-    circuit = Circuit(3, [gate])
+    circuit = Circuit(3, on_pattern((1, 2), (0,), u, 0))
     assert_equivalent(circuit, lower_to_basis(circuit))
 
 
@@ -314,15 +324,15 @@ def test_lowered_controlled_unitary_stays_on_its_qubits(rng, n_targets, patterne
     for n_controls in range(4):
         qs = [int(q) for q in rng.permutation(7)]
         pattern = int(rng.integers(0, 2**n_controls)) if patterned else -1
-        gate = ControlledUnitary(
+        gates = on_pattern(
             tuple(qs[n_targets : n_targets + n_controls]),
             tuple(qs[:n_targets]),
             random_unitary(rng, 2**n_targets),
             pattern,
         )
-        lowered = lower_to_basis(Circuit(7, [gate]))
+        lowered = lower_to_basis(Circuit(7, gates))
         assert lowered.gates
-        assert set().union(*map(gate_qubit_set, lowered.gates)) <= gate_qubit_set(gate)
+        assert set().union(*map(gate_qubit_set, lowered.gates)) <= set(qs[: n_targets + n_controls])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -375,15 +385,15 @@ def test_ring17_alpha1_gate_sequence_is_pinned():
     )
 
 
-def test_lowered_wscc9_alpha3_plan_solves_as_the_plan(wscc9_system):
+def _assert_lowered_plan_solves_as_the_plan(system, alpha: int, gates: int, depth: int,
+                                             cnots: int) -> None:
     # End to end: the lowered circuit, the one ``metrics`` counts, computes
     # the state the solve reads, and gives the same scores.  The readout is
     # written here from the register layout, with numpy's own solve as the
     # classical reference.
-    alpha = 3
-    circuit, scaling, beta, _ = plan_hhl(wscc9_system, HHLConfig(alpha=alpha))
+    circuit, scaling, beta, _ = plan_hhl(system, HHLConfig(alpha=alpha))
     lowered = lower_to_basis(circuit)
-    assert len(lowered.gates) == 52229
+    assert len(lowered.gates) == gates
     start = zero_state(circuit.num_qubits)
     state = apply_circuit(start, lowered)
     assert np.abs(state - apply_circuit(start, circuit)).max() <= 1e-10
@@ -392,16 +402,52 @@ def test_lowered_wscc9_alpha3_plan_solves_as_the_plan(wscc9_system):
     probability = float(np.sum(np.abs(branch) ** 2))
     kept = branch[0] / math.sqrt(probability)
     pivot = kept[np.argmax(np.abs(kept))]
-    solution = (kept * pivot.conjugate() / abs(pivot)).real[: len(wscc9_system.p)]
-    theta = np.linalg.solve(wscc9_system.b, wscc9_system.p)
+    solution = (kept * pivot.conjugate() / abs(pivot)).real[: len(system.p)]
+    theta = np.linalg.solve(system.b, system.p)
     fidelity = theta @ solution / (np.linalg.norm(theta) * np.linalg.norm(solution))
-    result = run_hhl(wscc9_system, HHLConfig(alpha=alpha))
+    result = run_hhl(system, HHLConfig(alpha=alpha))
     assert abs(probability - result.success_probability) <= 1e-10
     assert abs(1.0 - np.sum(np.abs(kept) ** 2) - result.residual_clock_leak) <= 1e-10
     assert abs(fidelity**2 - result.fidelity) <= 1e-10
 
-    assert asap_depth(lowered) == 34156
-    assert sum(isinstance(g, Cnot) for g in lowered.gates) == 14108
+    assert asap_depth(lowered) == depth
+    assert sum(isinstance(g, Cnot) for g in lowered.gates) == cnots
+
+
+def test_lowered_wscc9_alpha3_plan_solves_as_the_plan(wscc9_system):
+    _assert_lowered_plan_solves_as_the_plan(wscc9_system, 3, 52229, 34156, 14108)
+
+
+def test_lowered_wscc9_alpha5_plan_solves_as_the_plan(wscc9_system):
+    # The pinned circuit: 23,550 CNOTs at depth 56963.
+    _assert_lowered_plan_solves_as_the_plan(wscc9_system, 5, 87139, 56963, 23550)
+
+
+def test_fingerprint_script_prints_the_outputs_digests(wscc9_system):
+    # A subset of scripts/fingerprint.py: each digest is the one computed here.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
+    done = subprocess.run([sys.executable, str(script), "--only", "run_hhl-wscc9-a3",
+                           "lowered-wscc9-a3", "plan-wscc9-a3", "state-ring65-seed1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    circuit = plan_hhl(wscc9_system, HHLConfig(alpha=3)).circuit
+    ring = benchmark_ring(65, 1006)  # grid-scale-sim's smallest ring at benchmark seed 1
+    eig = eigendecompose(ring.b)
+    grid_circuit = build_hhl_circuit(eig, ring.p / float(np.linalg.norm(ring.p)),
+                                     choose_scaling(eig, 7))
+    texts = {
+        "run_hhl-wscc9-a3": repr(run_hhl(wscc9_system, HHLConfig(alpha=3)).to_dict()),
+        "plan-wscc9-a3": dump(circuit),
+        "lowered-wscc9-a3": dump(lower_to_basis(circuit)),
+    }
+    state = apply_circuit(zero_state(grid_circuit.num_qubits), grid_circuit).tobytes()
+    lines = dict(line.split() for line in done.stdout.splitlines())
+    assert list(lines) == [*texts, "state-ring65-seed1"]
+    for label, text in texts.items():
+        assert lines[label] == hashlib.sha256(text.encode()).hexdigest(), label
+    assert lines["state-ring65-seed1"] == hashlib.sha256(state).hexdigest()
+    assert lines["lowered-wscc9-a3"] == (
+        "0930c7a1344e42211d19d905c85e170e3bc5b5c08bf07452ef691933e8819230")
 
 
 def test_wscc9_metrics_build_no_named_matrix_and_one_cnot_per_pair(
@@ -421,11 +467,10 @@ def test_wscc9_metrics_build_no_named_matrix_and_one_cnot_per_pair(
 
 
 def test_patterned_six_control_gate_sequence_is_pinned():
-    # Six controls reading pattern 0b000101: X-wrapped controls and a block
-    # that sits neither first nor last among the 2^7 local basis states.
+    # Six controls reading pattern 0b000101: X on the four controls that
+    # read 0, around the all-ones gate.
     u = _ry_matrix(0.3) @ _rz_matrix(1.1)
-    gate = ControlledUnitary(tuple(range(1, 7)), (0,), u, 5)
-    assert _dump_digest(Circuit(7, [gate])) == (
+    assert _dump_digest(Circuit(7, on_pattern(tuple(range(1, 7)), (0,), u, 5))) == (
         3565, "1d91b9689dbaab2cd07b47b59d13dd2b2dae82cff7612c99106dc8e7d6c721be"
     )
 
@@ -435,9 +480,8 @@ def test_four_target_controlled_unitary_gate_sequence_is_pinned():
     # differ in up to four local bits, so each is reached by a walk over up
     # to three bits, and that walk is undone after the rotation.
     u = random_unitary(np.random.default_rng(16), 16)
-    gate = ControlledUnitary((4,), (0, 1, 2, 3), u, 0)
-    assert _dump_digest(Circuit(5, [gate])) == (
-        154369, "067f3562d38a4bd854cec813fea1f80602ce1325d811a899ffa69c84eb13b876"
+    assert _dump_digest(Circuit(5, on_pattern((4,), (0, 1, 2, 3), u, 0))) == (
+        153585, "0545a0b3b48b4e6926041f14406a43b654754f8a87d03e27611bca32d8cf1e96"
     )
 
 
@@ -461,27 +505,25 @@ def _block_structured_gate(seed: int) -> Circuit:
         start += size
     perm = rng.permutation(dim)
     pattern = int(rng.integers(0, 2**n_controls))
-    gate = ControlledUnitary(
-        tuple(qubits[n_targets:]), tuple(qubits[:n_targets]), u[perm][:, perm], pattern
-    )
-    return Circuit(len(qubits), [gate])
+    return Circuit(len(qubits), on_pattern(
+        tuple(qubits[n_targets:]), tuple(qubits[:n_targets]), u[perm][:, perm], pattern))
 
 
 # Together these lower phases on even and on odd indices, and Givens pairs
 # that differ in one, two and three local bits.
 @pytest.mark.parametrize("seed, lines, digest", [
-    (0, 4725, "3632de2bee5d450dc3701f128d62a6683ac08fcc85f22b7b37342cf9ec9f1c63"),
+    (0, 4707, "725bbfa2d7c4b1865bf00768a09da9a20ea9fef966dd90928dda9588051644a1"),
     (1, 1369, "ce84a428fae4ad6f1be3ca0187b0a418bbccbba16c58c1b9546a8ef58b001ae2"),
-    (2, 776, "1a6cdb7cc705fdce9ae5559d072532a843ee40760ca2e14884758088c02a0cab"),
+    (2, 770, "c43fb127d62f8f98034374196f361b521ea44a38062525b1d648f25def82d116"),
     (6, 1000, "9b1612a1edd209754667b4b5f7ffa6b901a953f89295b8368bc72e47ca9ac7e2"),
-    (9, 14940, "966bdf3d4bef44643f55cbe48ce14b468895c3a7fd78f0ebf450cbe00bc59602"),
-    (11, 16, "a07850ecf4b03e7c46658513bdcc369d67176b53331317bd2daaee6d3c7548b4"),
-    (14, 4841, "ef0c169cbfcc0e4f5756da0a2fbd641eb8b2d881eeb3c79c478bb12ebeda13ff"),
+    (9, 14792, "c1511573281c6d49ab7bfb1f1150ba501d6d0e1a057de75a0f8f4dafdaab9fed"),
+    (11, 14, "04867133fcc130c812a5b5d553565dfa675031a00c148fd522619739b99eca58"),
+    (14, 4767, "cfe630d7f1874db77a73593a187a16401764d95cec0e1c72fd7107a4e0f0617a"),
     (17, 22435, "58079f1f64f5f8354fa2c74d7b11a6d63da647a1f8d108ea9f8f47992aa2f5ed"),
-    (21, 9389, "6ca0850dc19e393d01c7180c8388b0ab22f4a4db1c79958482b77513dae7262a"),
+    (21, 9343, "bab6512f3dbecaa6774ed4ec266161c7d076d00939b938ec4b1b2a9647844017"),
     (22, 8246, "03d0d914b5f693ba612490bf0b9826fc571e0f6da5df429ac85a9c7dda4d0d00"),
-    (24, 79, "d1ed6c127cf4e9936dc40927f73b7459fad2447055cbc0774511fde54b6ea321"),
-    (27, 2416, "e4d98333a30026a3aec71a9c34210b9f01273c322d9b2f3531e3a422cd19c102"),
+    (24, 75, "88a9c2a9b736a002b805b9f8674df7f045dd383d320e17bfdbdf6d58c084474e"),
+    (27, 2380, "0309a1b15d98fa4291cd04b90e2c8037943806c7354e58c84e51432da0dda7fc"),
 ])
 def test_block_structured_gate_sequence_is_pinned(seed, lines, digest):
     assert _dump_digest(_block_structured_gate(seed)) == (lines, digest)
@@ -489,7 +531,7 @@ def test_block_structured_gate_sequence_is_pinned(seed, lines, digest):
 
 def test_shared_sub_blocks_stay_inside_one_call(rng):
     # Three-control gates make the square-root recursion repeat sub-blocks.
-    first = Circuit(4, [ControlledUnitary((1, 2, 3), (0,), random_unitary(rng, 2), 5)])
+    first = Circuit(4, on_pattern((1, 2, 3), (0,), random_unitary(rng, 2), 5))
     second = random_circuit(rng, 4, length=6)
     second.append(ControlledUnitary((0, 1, 2), (3,), random_unitary(rng, 2)))
     alone = dump(lower_to_basis(second))

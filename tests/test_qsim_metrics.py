@@ -143,10 +143,9 @@ def test_library_bound_is_the_oracle_bound(rng, wscc9_system):
 def test_library_bound_holds_where_rotations_are_skipped(rng, targets, controls):
     width = targets + controls
     for u in [random_unitary(rng, 2**targets), *_awkward_blocks(rng, 2**targets)]:
-        for pattern in (0, 2**controls - 1):
-            circuit = Circuit(width, [ControlledUnitary(
-                tuple(range(targets, width)), tuple(range(targets)), u, pattern)])
-            assert metrics(circuit).cnot_count <= lowered_cnot_bound(circuit)
+        circuit = Circuit(width, [ControlledUnitary(
+            tuple(range(targets, width)), tuple(range(targets)), u)])
+        assert metrics(circuit).cnot_count <= lowered_cnot_bound(circuit)
 
 
 def test_budget_refuses_the_129_bus_ring_before_lowering(monkeypatch):

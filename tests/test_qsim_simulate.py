@@ -11,6 +11,7 @@ from helpers import (
     benchmark_ring,
     dense_circuit,
     exact_grid_system,
+    on_pattern,
     random_circuit,
     random_unitary,
 )
@@ -70,12 +71,13 @@ def test_bell_state():
 
 def test_controlled_unitary_fires_only_on_pattern(rng):
     u = random_unitary(rng, 2)
-    gate = ControlledUnitary(controls=(0, 2), targets=(1,), u=u, control_pattern=0b01)
-    # Control value is built LSB-first from controls: qubit 0 -> bit 0.
+    # Control 0 must read 1 and control 2 must read 0: X on qubit 2 around
+    # the all-ones gate.
+    gates = Circuit(3, on_pattern((0, 2), (1,), u, 0b01))
     fire = apply_circuit(zero_state(3), Circuit(3, [x(0)]))
     hold = apply_circuit(fire, Circuit(3, [x(2)]))  # controls read 0b11, must not fire
-    out_fire = apply_circuit(fire, Circuit(3, [gate]))
-    out_hold = apply_circuit(hold, Circuit(3, [gate]))
+    out_fire = apply_circuit(fire, gates)
+    out_hold = apply_circuit(hold, gates)
     np.testing.assert_allclose(out_fire[0b001], u[0, 0])
     np.testing.assert_allclose(out_fire[0b011], u[1, 0])
     np.testing.assert_allclose(out_hold, hold)
@@ -131,28 +133,29 @@ def _partly_idle_state(rng, n: int) -> tuple[np.ndarray, int]:
 
 def _gates_on_idle_controls(rng, n: int, live: int) -> list:
     """Gates of every controlled kind whose controls include a qubit outside
-    ``live``, on patterns that read it as 0 and as 1."""
-    gates = []
+    ``live``, on patterns that read it as 0 (an X on it just before the
+    gate) and as 1, in a random order of groups."""
+    groups = []
     for c in (q for q in range(n) if not live >> q & 1):
         others = [int(q) for q in rng.permutation(n) if q != c]
         if not others:
             continue
         t, controls = others[0], (c, *others[1:])
-        gates += [ControlledUnitary((c,), (t,), random_unitary(rng, 2), pattern)
-                  for pattern in (0, 1)]
+        groups += [on_pattern((c,), (t,), random_unitary(rng, 2), pattern)
+                   for pattern in (0, 1)]
         pattern = int(rng.integers(0, 2 ** len(controls)))
-        gates += [
-            Cnot(c, t),
-            ControlledUnitary(controls, (t,), random_unitary(rng, 2), pattern),
-            UniformlyControlledRy(controls, t, rng.uniform(-np.pi, np.pi, 2 ** len(controls))),
+        groups += [
+            [Cnot(c, t)],
+            on_pattern(controls, (t,), random_unitary(rng, 2), pattern),
+            [UniformlyControlledRy(controls, t, rng.uniform(-np.pi, np.pi, 2 ** len(controls)))],
         ]
-    return [gates[i] for i in rng.permutation(len(gates))]
+    return [g for i in rng.permutation(len(groups)) for g in groups[i]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_partly_idle_states_match_dense_oracle(rng, n):
     # Qubits the input holds at |0> run on their 0-half until a gate targets
-    # them; gates controlled by them still fire on a 0 pattern bit only.
+    # them; a gate they control reads their zero 1-half until an X flips them.
     for _ in range(12):
         state, live = _partly_idle_state(rng, n)
         circuit = Circuit(n, _gates_on_idle_controls(rng, n, live))
@@ -160,6 +163,31 @@ def test_partly_idle_states_match_dense_oracle(rng, n):
         fast = apply_circuit(state, circuit)
         slow = dense_circuit(circuit) @ state
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def test_a_gate_with_an_idle_control_leaves_the_state_as_the_oracle_says(rng):
+    # Qubit 2 is idle: each gate it controls reads its 1-half, all zeros,
+    # and changes nothing, whether or not its other controls are live.
+    state, _ = _partly_idle_state(rng, 2)
+    state = np.concatenate([state, np.zeros(4)])
+    circuit = Circuit(3, [ControlledUnitary((2,), (0,), random_unitary(rng, 2)),
+                          ControlledUnitary((1, 2), (0,), random_unitary(rng, 2)),
+                          ControlledUnitary((2,), (1, 0), random_unitary(rng, 4))])
+    out = apply_circuit(state, circuit)
+    np.testing.assert_allclose(out, dense_circuit(circuit) @ state, rtol=0, atol=1e-12)
+    assert np.array_equal(out, state)
+
+
+def test_an_x_makes_an_idle_control_live_just_before_the_gate(rng):
+    # Qubit 2 is idle, so the gate fires only on its X-flipped 1-half.
+    state = np.zeros(8, dtype=complex)
+    state[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    state /= np.linalg.norm(state)
+    circuit = Circuit(3, on_pattern((2,), (1, 0), random_unitary(rng, 4), 0))
+    assert [g.dump_line()[:2] for g in circuit.gates] == ["X ", "CU", "X "]
+    out = apply_circuit(state, circuit)
+    np.testing.assert_allclose(out, dense_circuit(circuit) @ state, rtol=0, atol=1e-12)
+    assert not np.allclose(out, state)
 
 
 def test_a_qubit_with_a_tiny_amplitude_stays_live():
@@ -191,22 +219,24 @@ def test_forward_evolutions_run_on_half_the_state(monkeypatch):
 
 def _sparse_gates(rng, n: int) -> list:
     """Gates whose matrix is an exact 2x2 diagonal or anti-diagonal, on each
-    qubit of an n-qubit register; the ``ControlledUnitary``s are controlled by
-    every other qubit, on patterns that are not all ones."""
+    qubit of an n-qubit register, in a random order of groups; the
+    ``ControlledUnitary``s are controlled by every other qubit, on patterns
+    that are not all ones, so X gates wrap each."""
     a, b = rng.uniform(-np.pi, np.pi, size=2)
     diag = np.diag(np.exp([1j * a, 1j * b]))
     anti = np.array([[0, np.exp(1j * a)], [np.exp(1j * b), 0]])
-    gates = []
+    groups = []
     for q in range(n):
         others = tuple(p for p in range(n) if p != q)
-        gates += [rz(q, a), phase(q, b), x(q), SingleQubit(q, np.array([[0, -1j], [1j, 0]])),
-                  SingleQubit(q, diag), SingleQubit(q, anti)]
+        groups += [[g] for g in (rz(q, a), phase(q, b), x(q),
+                                 SingleQubit(q, np.array([[0, -1j], [1j, 0]])),
+                                 SingleQubit(q, diag), SingleQubit(q, anti))]
         if others:
-            gates.append(Cnot(others[-1], q))
+            groups.append([Cnot(others[-1], q)])
             for u in (diag, anti):
                 pattern = int(rng.integers(0, 2 ** len(others) - 1))
-                gates.append(ControlledUnitary(others, (q,), u, pattern))
-    return [gates[i] for i in rng.permutation(len(gates))]
+                groups.append(on_pattern(others, (q,), u, pattern))
+    return [g for i in rng.permutation(len(groups)) for g in groups[i]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -297,7 +327,7 @@ def _one_gate_of_each_kind(rng):
     return [
         ry(1, 0.3),
         Cnot(2, 0),
-        ControlledUnitary((0,), (2, 1), random_unitary(rng, 4), control_pattern=0),
+        ControlledUnitary((0,), (2, 1), random_unitary(rng, 4)),
         UniformlyControlledRy((2, 0), 1, rng.uniform(-np.pi, np.pi, size=4)),
     ]
 
@@ -407,11 +437,6 @@ class TestValidation:
     def test_non_unitary_matrix_rejected(self, u):
         with pytest.raises(InputError, match="unitary"):
             Circuit(1).append(SingleQubit(0, u))
-
-    def test_pattern_out_of_range(self, rng):
-        with pytest.raises(InputError):
-            gate = ControlledUnitary((1,), (0,), random_unitary(rng, 2), control_pattern=2)
-            Circuit(2).append(gate)
 
     @pytest.mark.parametrize("angles", [[0.1], np.array([np.nan, 0.0])])
     def test_ucry_wrong_angle_count(self, angles):

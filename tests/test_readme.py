@@ -22,7 +22,7 @@ import pytest
 from qpf.cli import build_parser, main
 from qpf.complexity import CROSSOVER_SAMPLES, MAX_SWEEP_STEPS, SEARCH_RANGE
 from qpf.errors import InputError
-from qpf.grid import parse_network
+from qpf.grid import MAX_BUSES, parse_network
 from qpf.hhl import MAX_SYSTEM_QUBITS
 from qpf.qsim import Circuit, Cnot, ControlledUnitary, UniformlyControlledRy, dump, h, ry
 from qpf.qsim.circuit import MAX_EVOLUTION_QUBITS, MAX_QUBITS, UNITARY_TOL
@@ -135,6 +135,9 @@ def test_stated_limits_are_the_codes():
         f"{2**MAX_SYSTEM_QUBITS} dimensions, {2**MAX_SYSTEM_QUBITS + 1:,} buses",
         f"(`hhl.MAX_SYSTEM_QUBITS` = {MAX_SYSTEM_QUBITS})",
         f"more than {2**MAX_SYSTEM_QUBITS} dimensions (β over {MAX_SYSTEM_QUBITS} qubits)",
+        f"more than `qpf.grid.MAX_BUSES` = {MAX_BUSES} buses",
+        f"(`grid.MAX_BUSES` = {MAX_BUSES})",
+        f"a network of more than {MAX_BUSES} buses, before any matrix is built",
     ]:
         assert phrase in text
 
@@ -151,7 +154,7 @@ def test_dump_example_is_dumps_output():
         h(0),
         ry(2, 0.25),
         Cnot(1, 0),
-        ControlledUnitary((0, 2), (1,), np.diag([1, 1j]), 1),
+        ControlledUnitary((0, 2), (1,), np.diag([1, 1j])),
         UniformlyControlledRy((1, 2), 0, [0.0, 0.1, 0.2, 0.3]),
     ])
     assert dump(circuit) == example
