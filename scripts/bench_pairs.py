@@ -10,6 +10,14 @@ in each, one after the other in a fresh process, the parent first in even
 pairs and the change first in odd ones.  Each run's result line is printed as
 it ends, with the percentile its ``latency_tail_s`` took.
 
+Every run of a checkout sets ``PYTHONPYCACHEPREFIX`` to one directory of its
+own, made empty in a temporary directory once per script run and removed at
+exit, and unsets ``PYTHONDONTWRITEBYTECODE``; the fresh-interpreter import that
+``setup_s`` times inherits both.  So each side compiles every module it
+imports, numpy's too, into its own directory in its first run and reads them
+from there after, and ``setup_s`` does not depend on which checkout holds
+``__pycache__``.
+
 Then, for each end-to-end metric of the change's ``BENCHMARK.json``, one line
 gives both sides' medians and quartiles over the pairs, the change's wins (a
 pair where it is strictly better, in the metric's own direction), and whether
@@ -22,20 +30,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TAIL_NOTE = re.compile(r"^# latency_tail_s = \S+ s \((p[\d.]+), n=(\d+)")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
-    """stdout of one benchmark run in ``checkout``; exits if the run fails."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             pycache: Path) -> str:
+    """stdout of one benchmark run in ``checkout``, its compiled files kept
+    under ``pycache``; exits if the run fails."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited "
                  f"{done.returncode}:\n{done.stderr}")
@@ -103,13 +117,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        for name in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            result = parse_run(run_once(sides[name], args.workload, args.seed, args.seconds))
-            results[name].append(result)
-            values = {k: v["value"] for k, v in result["metrics"].items()}
-            print(f"# pair {pair} {name} tail {result['tail']} {json.dumps(values)}",
-                  flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as caches:
+        for pair in range(args.pairs):
+            for name in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                stdout = run_once(sides[name], args.workload, args.seed, args.seconds,
+                                  Path(caches) / name)
+                result = parse_run(stdout)
+                results[name].append(result)
+                values = {k: v["value"] for k, v in result["metrics"].items()}
+                print(f"# pair {pair} {name} tail {result['tail']} {json.dumps(values)}",
+                      flush=True)
     for name, runs in results.items():
         for pair, run in enumerate(runs):
             if not run["correct"]:

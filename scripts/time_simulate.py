@@ -20,7 +20,8 @@ dimension, ``UCRY``), and each group, in circuit order, is run alone by
 the unit injections (as ``grid-scale-sim`` calls it), ``apply_circuit`` of the whole
 planned circuit from |0...0> (where the clock and ancilla start idle) and
 ``plan_hhl`` followed by that ``apply_circuit`` are timed.  Every line prints
-the median of ``--repeats`` runs in milliseconds.
+the median of ``--repeats`` runs in milliseconds, but the last of each ring:
+the tracemalloc peak, in MiB, of one more ``plan_hhl`` and ``apply_circuit``.
 """
 
 import os
@@ -32,6 +33,7 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -68,8 +70,9 @@ def median_ms(call, repeats: int) -> float:
 def kind(gate) -> str:
     if isinstance(gate, SingleQubit):
         return gate.name
-    if isinstance(gate, ControlledUnitary):
-        return f"CU {len(gate.u)}x{len(gate.u)}"
+    if isinstance(gate, ControlledUnitary):  # by its targets: u may not be built
+        dim = 2 ** len(gate.targets)
+        return f"CU {dim}x{dim}"
     return gate.dump_line().split()[0]
 
 
@@ -113,6 +116,13 @@ def main() -> None:
 
         ms = median_ms(plan_and_simulate, args.repeats)
         print(f"  plan_hhl + apply_circuit        {ms:8.3f} ms")
+        tracemalloc.start()
+        try:
+            plan_and_simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"  tracemalloc peak, plan + simulate {peak / 2**20:6.3f} MiB")
 
 
 if __name__ == "__main__":

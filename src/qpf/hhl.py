@@ -16,11 +16,13 @@ clock states, which is the dominant (and here the only) fidelity loss.
 
 Padding to 2^beta appends (lambda_max, unit vector) eigenpairs to the one
 eigendecomposition of the n x n B, and zeros to p.  Everything is simulated
-exactly: each power U^{2^k} = V e^{i Lambda t 2^k} V^T is formed from the
-real eigenvectors V by ``qsim.controlled_evolutions``, its real and imaginary
-parts as the two real products (V cos(Lambda t 2^k)) V^T and
-(V sin(Lambda t 2^k)) V^T, with one orthogonality check of V in place of a
-unitarity check of each power; probabilities come from amplitudes, not shots.
+exactly: each power U^{2^k} = V e^{i Lambda t 2^k} V^T is a gate of
+``qsim.controlled_evolutions`` holding the real eigenvectors V and its phases,
+with one orthogonality check of V in place of a unitarity check of each power.
+The simulator runs all 2 alpha powers in V's basis, two basis changes per run,
+and forms none; a reader of ``u`` (lowering, ``metrics``, ``dump``) forms one
+as (V cos(Lambda t 2^k)) V^T + i (V sin(Lambda t 2^k)) V^T.  Probabilities
+come from amplitudes, not shots.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def _register(beta: int, alpha: int) -> tuple[tuple[int, ...], tuple[int, ...], 
 
 
 # The widest solution register a plan takes, the widest target register of the
-# QPE's evolutions: 2^10 = 1,024 dims, a network of up to 1,025 buses, 16 MiB
-# per evolution.  A wider system is refused before its eigendecomposition.
+# QPE's evolutions: 2^10 = 1,024 dims, up to 1,025 buses, 16 MiB per evolution
+# whose ``u`` is read.  A wider system is refused before its eigendecomposition.
 MAX_SYSTEM_QUBITS = MAX_EVOLUTION_QUBITS
 
 

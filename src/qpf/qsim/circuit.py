@@ -12,9 +12,10 @@ kind's behaviour (see ``Gate``), that check themselves once, when made
 real angles); a controlled gate acts where all its controls read 1.
 ``controlled_evolutions`` makes the QPE's ``ControlledUnitary`` family, V
 e^{i phi_k} V^T for one real V of at most ``MAX_EVOLUTION_QUBITS`` qubits,
-with one check of V in place of one per matrix.  A Circuit is an ordered
-gate list over a fixed-width register whose ``append`` checks only the gate
-kind and the width.  The splice rule: gates that come from an
+with one check of V in place of one per matrix; each one, and its inverse,
+holds V and its phase row, and builds ``u`` only when it is first read.  A
+Circuit is an ordered gate list over a fixed-width register whose ``append``
+checks only the gate kind and the width.  The splice rule: gates that come from an
 already-checked circuit join the list without that per-gate check.
 ``extend`` of a Circuit checks once that it is no wider; ``inverse`` lists
 each gate's inverse, on that gate's qubits; ``lower_to_basis`` splices in
@@ -43,7 +44,7 @@ UNITARY_TOL = 1e-10
 MAX_QUBITS = 24
 # The widest target register ``controlled_evolutions`` takes: up to 2^10 = 1,024
 # dims one check of the eigenbasis keeps every evolution unitary (see there), and
-# each evolution is 16 MiB.
+# each evolution's ``u``, built only when read, is 16 MiB.
 MAX_EVOLUTION_QUBITS = 10
 
 # Builders of the named 2x2 matrices (see ``_NAMED``).
@@ -93,6 +94,9 @@ class Gate:
     ``(controls, targets, u)`` the simulator applies, ``u`` acting on
     ``targets`` (``targets[j]`` is matrix bit j) where every control reads 1;
     a stack ``u[m]`` acts on the low target bits where the high ones read m.
+    ``factored_form()`` is None but for an evolution (or its inverse), where
+    it is ``(controls, targets, v, row)``, u = V diag(e^{i row}) V^T for a
+    real V, which the simulator applies through V without reading ``u``.
 
     Only a matrix a caller gives is checked for unitarity, once, when its gate
     is made: a named gate is unitary by construction from its checked params,
@@ -110,6 +114,24 @@ class Gate:
     """
 
     __slots__ = ()
+
+    def factored_form(self):
+        return None
+
+    def __getstate__(self) -> dict:
+        # For copy and pickle: the slots held, read past ``__getattr__``, so
+        # that a u or params not yet read is not built for the copy either.
+        state = {}
+        for slot in self.__slots__:
+            try:
+                state[slot] = object.__getattribute__(self, slot)
+            except AttributeError:
+                pass
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
 
 
 def _check_distinct(qubits: tuple) -> None:
@@ -202,21 +224,6 @@ class SingleQubit(Gate):
         object.__setattr__(self, attr, value)
         return value
 
-    def __getstate__(self) -> dict:
-        # For copy and pickle: the slots held, read past ``__getattr__``, so
-        # that a u or params not yet read is not built for the copy either.
-        state = {}
-        for slot in self.__slots__:
-            try:
-                state[slot] = object.__getattribute__(self, slot)
-            except AttributeError:
-                pass
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.target,)
@@ -261,9 +268,17 @@ class Cnot(Gate):
         return (self.control,), (self.target,), _X
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class ControlledUnitary(Gate):
-    """``u`` acts on ``targets`` when every control qubit reads 1."""
+    """``u`` acts on ``targets`` when every control qubit reads 1.
+
+    An evolution holds (V, row, None) in the private ``_factor`` slot and its
+    inverse (V, -row, forward gate); ``__getattr__`` builds ``u`` on its first
+    read, as ``_evolution_matrix(V, row)`` or ``forward.u.conj().T``.  A gate
+    given its matrix holds no ``_factor``, which reads as None.
+    """
+
+    __slots__ = ("controls", "targets", "u", "_factor")
 
     controls: tuple[int, ...]
     targets: tuple[int, ...]
@@ -273,12 +288,31 @@ class ControlledUnitary(Gate):
         _check_distinct(self.qubits)
         _check_unitary(self.u, 2 ** len(self.targets))
 
+    def __getattr__(self, attr: str):
+        # Only for slots not yet held (see the class docstring).
+        if attr == "_factor":
+            return None
+        if attr != "u":
+            raise AttributeError(attr)
+        v, row, forward = self._factor
+        u = _evolution_matrix(v, row) if forward is None else forward.u.conj().T
+        object.__setattr__(self, "u", u)
+        return u
+
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
 
+    def factored_form(self):
+        factor = self._factor
+        return None if factor is None else (self.controls, self.targets, *factor[:2])
+
     def inverse(self) -> ControlledUnitary:
-        return _adjoint(self)
+        if self._factor is None:
+            return _adjoint(self)
+        v, row, _ = self._factor
+        return _unchecked(ControlledUnitary, controls=self.controls, targets=self.targets,
+                          _factor=(v, -row, self))
 
     def dump_line(self) -> str:
         ts = " ".join(map(str, self.targets))
@@ -293,8 +327,8 @@ def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
                           vectors: np.ndarray, phases: np.ndarray) -> list[ControlledUnitary]:
     """``ControlledUnitary((controls[k],), targets, u_k)`` for each k, where
     u_k = V diag(e^{i phases[k]}) V^T for the real eigenbasis V = ``vectors``
-    (one eigenvector per column), formed as two real products:
-    ``u_k.real = (V cos(phases[k])) V^T`` and ``u_k.imag = (V sin(phases[k])) V^T``.
+    (one eigenvector per column).  Each gate holds V and ``phases[k]`` and
+    forms u_k only when ``u`` is first read, by ``_evolution_matrix``.
 
     InputError unless V is a real, finite (dim, dim) array with dim =
     2^len(targets), ``phases`` a finite real (len(controls), dim) array, each
@@ -323,13 +357,18 @@ def controlled_evolutions(controls: tuple[int, ...], targets: tuple[int, ...],
     for control in controls:
         _check_distinct((control, *targets))
     _check_unitary(v, dim, UNITARY_TOL / (4 * dim))
-    gates = []
-    for control, angles in zip(controls, phases):
-        u = np.empty((dim, dim), dtype=complex)
-        u.real = (v * np.cos(angles)) @ v.T
-        u.imag = (v * np.sin(angles)) @ v.T
-        gates.append(_unchecked(ControlledUnitary, controls=(control,), targets=targets, u=u))
-    return gates
+    return [_unchecked(ControlledUnitary, controls=(control,), targets=targets,
+                       _factor=(v, angles, None))
+            for control, angles in zip(controls, phases)]
+
+
+def _evolution_matrix(v: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """V diag(e^{i row}) V^T for a real V, as two real products:
+    ``u.real = (V cos(row)) V^T`` and ``u.imag = (V sin(row)) V^T``."""
+    u = np.empty(v.shape, dtype=complex)
+    u.real = (v * np.cos(row)) @ v.T
+    u.imag = (v * np.sin(row)) @ v.T
+    return u
 
 
 @dataclass(frozen=True, eq=False, slots=True)

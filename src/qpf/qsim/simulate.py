@@ -15,6 +15,13 @@ as a batched matmul into the other and scattered back; its target axes come
 to the front of the control-sliced view by one ``ndarray.transpose``, whose
 axis order is made once per call for each tuple of targets.
 
+A gate whose ``factored_form`` is V diag(e^{i row}) V^T (an evolution) enters
+V's basis, x <- V^T x over its targets on the live view, unless that basis
+change is already pending (a run holds at most one), then multiplies its
+control-1 half by e^{i row}.  A gate of another basis or on a pending target,
+and the end of the circuit, leave it first, x <- V x.  Both are real products
+on the float view of the amplitudes.  An HHL run makes two, and forms no ``u``.
+
 A qubit is idle while no nonzero amplitude has its bit set: read once from
 the input, it stays idle until a gate targets it.  Each gate runs on the
 0-half of every idle qubit that is not one of its controls, since the
@@ -68,29 +75,60 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     view = [slice(None) if live >> q & 1 else slice(0, 1) for q in reversed(range(n))]
     gathered, product = np.empty_like(out), np.empty_like(out)
     perms: dict[tuple, list[int]] = {}  # targets -> axis order putting them first
+
+    def front(sel: list, targets: tuple) -> np.ndarray:
+        # ``psi[sel]`` with the target axes, most significant matrix bit
+        # first, moved to the front, so it reads as a (batch, row, rest) stack.
+        perm = perms.get(targets)
+        if perm is None:
+            first = [_axis(n, t) for t in reversed(targets)]
+            perm = perms[targets] = first + [a for a in range(n) if a not in first]
+        return psi[tuple(sel)].transpose(perm)
+
+    def multiply(sel: list, targets: tuple, m: np.ndarray) -> None:
+        # Gathered into one scratch buffer, multiplied into the other and
+        # scattered back.  A real m multiplies the float view, re and im as
+        # side-by-side columns: one real product in place of a complex one.
+        block = front(sel, targets)
+        x = gathered[: block.size].reshape(block.shape)
+        x[...] = block
+        shape = (-1, m.shape[-1], block.size >> len(targets))
+        y = product[: block.size].reshape(shape)
+        if m.dtype.kind == "f":
+            np.matmul(m, x.reshape(shape).view(np.float64), out=y.view(np.float64))
+        else:
+            np.matmul(m, x.reshape(shape), out=y)
+        block[...] = y.reshape(block.shape)
+
+    pending = None  # (targets, V) while the state holds V^T x over those targets
     for gate in circuit.gates:
-        controls, targets, u = gate.controlled_form()
+        factored = gate.factored_form()
+        if factored is None:
+            controls, targets, u = gate.controlled_form()
+            leave = pending is not None and any(q in pending[0] for q in controls + targets)
+        else:
+            controls, targets, basis, row = factored
+            leave = pending is not None and (pending[1] is not basis or pending[0] != targets)
+        if leave:
+            multiply(view, *pending)
+            pending = None
         for t in targets:
             view[_axis(n, t)] = slice(None)
         sel = view.copy()
         for c in controls:
             sel[_axis(n, c)] = slice(1, 2)
-        if u.shape == (2, 2) and (u[0, 1] == 0 == u[1, 0] or u[0, 0] == 0 == u[1, 1]):
+        if factored is not None:
+            if pending is None:
+                multiply(view, targets, basis.T)
+                pending = targets, basis
+            block = front(sel, targets)
+            block *= np.exp(1j * row).reshape((2,) * len(targets) + (1,) * (n - len(targets)))
+        elif u.shape == (2, 2) and (u[0, 1] == 0 == u[1, 0] or u[0, 0] == 0 == u[1, 1]):
             _apply_sparse_2x2(psi, sel, _axis(n, targets[0]), u, gathered)
-            continue
-        # Target axes, most significant matrix bit first, moved to the front
-        # so the control-sliced view reads as a (batch, row, rest) stack.
-        perm = perms.get(targets)
-        if perm is None:
-            front = [_axis(n, t) for t in reversed(targets)]
-            perm = perms[targets] = front + [a for a in range(n) if a not in front]
-        block = psi[tuple(sel)].transpose(perm)
-        x = gathered[: block.size].reshape(block.shape)
-        x[...] = block
-        shape = (-1, u.shape[-1], block.size >> len(targets))
-        y = product[: block.size].reshape(shape)
-        np.matmul(u, x.reshape(shape), out=y)
-        block[...] = y.reshape(block.shape)
+        else:
+            multiply(sel, targets, u)
+    if pending is not None:
+        multiply(view, *pending)
     return out
 
 

@@ -73,3 +73,31 @@ def test_script_refuses_fewer_than_two_pairs():
                            "--parent", ".", "--change", ".", "--workload", "x",
                            "--pairs", "1"], capture_output=True, text=True)
     assert done.returncode == 2 and "--pairs must be at least 2" in done.stderr
+
+
+def test_each_checkout_runs_with_its_own_compiled_file_prefix(tmp_path, monkeypatch, capsys):
+    checkouts = {name: tmp_path / name for name in ("parent", "change")}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    runs_seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        runs_seen.append((Path(cwd), Path(env["PYTHONPYCACHEPREFIX"])))
+        return subprocess.CompletedProcess(argv, 0, run_output(0.09, 24.0), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    args = ["--workload", "grid-scale-sim", "--pairs", "3"]
+    for name, checkout in checkouts.items():
+        args += [f"--{name}", str(checkout)]
+    assert bench_pairs.main(args) == 0
+    assert "rule fails" in capsys.readouterr().out
+    prefixes = {cwd: {prefix for c, prefix in runs_seen if c == cwd} for cwd, _ in runs_seen}
+    assert len(runs_seen) == 6 and set(prefixes) == set(checkouts.values())
+    (parent_prefix,), (change_prefix,) = (prefixes[checkouts[n]] for n in ("parent", "change"))
+    assert parent_prefix != change_prefix
+    for prefix in (parent_prefix, change_prefix):
+        assert prefix.is_absolute() and not prefix.exists()  # removed at exit
+        assert not any(prefix.is_relative_to(c) for c in checkouts.values())

@@ -573,6 +573,37 @@ def test_a_plan_reads_by_name_and_by_position(wscc9_system):
     assert plan.circuit.num_qubits == 9 and plan.scaling.alpha == 5
 
 
+def _with_dense_evolutions(circuit: Circuit) -> Circuit:
+    """``circuit`` with each evolution made anew from its ``u`` as a matrix
+    gate, which the simulator multiplies as a dense product."""
+    return Circuit(circuit.num_qubits, [
+        ControlledUnitary(g.controls, g.targets, g.u) if g.factored_form() is not None else g
+        for g in circuit.gates])
+
+
+# (buses, network seed, alpha): wscc9 at each alpha, and grid-scale-sim's rings
+# at benchmark seeds 1 and 7 (network seed = benchmark seed * 1000 + beta).
+_SOLVES = [(9, None, alpha) for alpha in range(1, 9)] + [
+    (2**beta + 1, seed * 1000 + beta, 7) for seed in (1, 7) for beta in (6, 7, 8)]
+
+
+@pytest.mark.parametrize("buses, network_seed, alpha", _SOLVES,
+                         ids=[f"{b}-{s}-a{a}" for b, s, a in _SOLVES])
+def test_a_plan_through_the_eigenbasis_solves_as_dense_evolutions(
+        wscc9_system, buses, network_seed, alpha):
+    system = wscc9_system if network_seed is None else benchmark_ring(buses, network_seed)
+    plan = plan_hhl(system, HHLConfig(alpha=alpha))
+    reference = solve_dc(system)
+    outputs = []
+    for circuit in (plan.circuit, _with_dense_evolutions(plan.circuit)):
+        state = apply_circuit(zero_state(circuit.num_qubits), circuit)
+        _, probability, leak, solution, _ = hhl_module._read_out(plan, state, system)
+        outputs.append((state, fidelity(reference, solution), probability, leak))
+    (state, *scores), (dense_state, *dense_scores) = outputs
+    np.testing.assert_allclose(state, dense_state, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores, dense_scores, rtol=0, atol=1e-12)
+
+
 class TestPadding:
     """A system of dimension n pads to 2^beta through its n x n eigendecomposition."""
 

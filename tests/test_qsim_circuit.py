@@ -215,6 +215,7 @@ def test_inverse_is_the_exact_conjugate_transpose(rng):
         ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)),
         ControlledUnitary((0, 2), (1,), random_unitary(rng, 2)),
         ControlledUnitary((), (2, 0, 1), random_unitary(rng, 8)),
+        *controlled_evolutions((2, 0), (1,), _eigenbasis(rng, 2), rng.normal(size=(2, 2))),
     ]
     for gate in gates:
         inverse = gate.inverse()
@@ -350,9 +351,11 @@ def test_single_qubit_keeps_its_dataclass_fields_and_frozenness(make):
 
 
 def _one_of_each_kind(rng) -> list:
+    (evolution,) = controlled_evolutions((2,), (0, 1), _eigenbasis(rng, 4),
+                                         rng.normal(size=(1, 4)))
     return [SingleQubit(1, random_unitary(rng, 2)), h(0), rz(1, -0.3), _rotation("P", 2, 0.7),
             Cnot(0, 1), ControlledUnitary((2,), (0, 1), random_unitary(rng, 4)),
-            UniformlyControlledRy((1,), 0, [0.1, 0.2])]
+            evolution, evolution.inverse(), UniformlyControlledRy((1,), 0, [0.1, 0.2])]
 
 
 def test_no_gate_has_an_instance_dict(rng):
@@ -387,7 +390,7 @@ def test_copies_hold_the_slots_their_gate_holds(rng, monkeypatch):
         for gate in _one_of_each_kind(rng):
             twin = copier(gate)
             assert type(twin) is type(gate)
-            if isinstance(gate, SingleQubit):
+            if isinstance(gate, (SingleQubit, ControlledUnitary)):
                 assert [s for s, _ in held_slots(twin)] == [s for s, _ in held_slots(gate)]
             assert twin.dump_line() == gate.dump_line()
     assert built == []
@@ -435,6 +438,32 @@ def test_evolutions_check_the_basis_once_not_each_matrix(rng, monkeypatch):
     controlled_evolutions((8, 9, 10), tuple(range(8)), v, rng.normal(size=(3, 256)))
     assert len(calls) == 1 and calls[0][0] is v
     assert calls[0][1:] == (256, UNITARY_TOL / 1024)
+
+
+def test_an_evolution_and_its_inverse_build_u_once_on_first_read(rng, monkeypatch):
+    built = []
+    build = circuit_module._evolution_matrix
+    monkeypatch.setattr(circuit_module, "_evolution_matrix",
+                        lambda *a: built.append(a) or build(*a))
+    v, phases = _eigenbasis(rng, 8), rng.normal(size=(2, 8))
+    forward, other = controlled_evolutions((3, 4), (0, 1, 2), v, phases)
+    inverse = forward.inverse()
+    twice = inverse.inverse()
+    assert built == [] and not any(holds(g, "u") for g in (forward, inverse, twice))
+    assert forward.factored_form()[:3] == ((3,), (0, 1, 2), v)
+    assert forward.factored_form()[3] is not None and inverse.factored_form()[2] is v
+    assert np.array_equal(inverse.factored_form()[3], -phases[0])
+    assert np.array_equal(twice.factored_form()[3], phases[0])
+    # The inverse's u is its forward gate's u.conj().T; the forward's u is
+    # built once, for both, by the two real products.
+    u_inverse = inverse.u
+    assert len(built) == 1 and built[0][0] is v and holds(forward, "u")
+    assert np.array_equal(u_inverse, forward.u.conj().T) and len(built) == 1
+    assert inverse.u is u_inverse and np.array_equal(twice.u, forward.u)
+    assert np.array_equal(forward.u, build(v, phases[0])) and len(built) == 1
+    assert (inverse.controls, inverse.targets) == (forward.controls, forward.targets)
+    assert not holds(other, "u")
+    assert ControlledUnitary((3,), (0, 1, 2), forward.u).factored_form() is None
 
 
 def _never(*args, **fields):

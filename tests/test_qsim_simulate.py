@@ -24,6 +24,7 @@ from qpf.qsim import (
     SingleQubit,
     UniformlyControlledRy,
     apply_circuit,
+    controlled_evolutions,
     dump,
     h,
     lower_to_basis,
@@ -201,20 +202,118 @@ def test_a_qubit_with_a_tiny_amplitude_stays_live():
 
 def test_forward_evolutions_run_on_half_the_state(monkeypatch):
     # 257-bus ring, alpha = 7: 8 solution qubits, 7 clock qubits, 1 ancilla.
-    # Each evolution's control halves the 2^16 state to 128 columns of 256;
-    # in the forward QPE the untouched ancilla halves it again.
+    # The 14 evolutions run in their eigenbasis: one real product with V^T
+    # enters it over the live rows, where the untouched ancilla halves the
+    # 2^16 state, and one with V leaves it, at the end, over all rows.  The
+    # float view doubles each row's columns.
     circuit, *_ = plan_hhl(benchmark_ring(257, 1008), HHLConfig(alpha=7))
-    shapes = []
+    forms = [g.factored_form() for g in circuit.gates]
+    (v,) = {id(f[2]): f[2] for f in forms if f is not None}.values()  # one shared V
+    products = []
     matmul = np.matmul
 
-    def spy(u, x, **kwargs):
-        if u.shape == (256, 256):
-            shapes.append(x.shape)
-        return matmul(u, x, **kwargs)
+    def spy(m, x, **kwargs):
+        if m.shape[-1] == 256:
+            products.append((m, x.dtype, x.shape))
+        return matmul(m, x, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
     apply_circuit(zero_state(circuit.num_qubits), circuit)
-    assert shapes == [(1, 256, 64)] * 7 + [(1, 256, 128)] * 7
+    assert [(m.dtype, m.shape, dtype, shape) for m, dtype, shape in products] == [
+        (np.float64, (256, 256), np.float64, (1, 256, 256)),
+        (np.float64, (256, 256), np.float64, (1, 256, 512)),
+    ]
+    assert products[0][0].base is v and products[1][0] is v
+
+
+def _eigenbasis(rng, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim))
+    return np.linalg.eigh(a + a.T)[1]
+
+
+def _evolution_circuit(rng, n: int, length: int) -> Circuit:
+    """Evolutions of four families, two on each of two real bases of 1-2
+    qubits (the second family on targets drawn anew), and their inverses, in
+    a random order with H, CNOT, UCRy and controlled unitaries on the
+    families' targets or controls, so that a run leaves a basis and enters
+    it again."""
+    families, gates = [], []
+    for _ in range(2):
+        width = int(rng.integers(1, 3))
+        v = _eigenbasis(rng, 2**width)
+        for _ in range(2):
+            qs = [int(q) for q in rng.permutation(n)]
+            targets, rest = tuple(qs[:width]), qs[width:]
+            controls = tuple(rest[: int(rng.integers(1, len(rest) + 1))])
+            family = controlled_evolutions(controls, targets, v,
+                                           rng.uniform(-9, 9, size=(len(controls), 2**width)))
+            families.append((targets, controls))
+            gates += family + [g.inverse() for g in family]
+    for _ in range(length):
+        targets, controls = families[int(rng.integers(0, len(families)))]
+        near = [int(q) for q in rng.permutation(targets + controls)]
+        others = [q for q in range(n) if q != near[0]]
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            gates.append(h(near[0]))
+        elif kind == 1:
+            gates.append(Cnot(int(rng.choice(others)), near[0]))
+        elif kind == 2:
+            c = tuple(int(q) for q in rng.permutation(others)[: int(rng.integers(0, 3))])
+            gates.append(UniformlyControlledRy(c, near[0], rng.uniform(-4, 4, size=2**len(c))))
+        else:
+            gates.append(ControlledUnitary((int(rng.choice(others)),), (near[0],),
+                                           random_unitary(rng, 2)))
+    return Circuit(n, [gates[i] for i in rng.permutation(len(gates))])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_evolutions_through_their_basis_match_dense_oracle(rng, n):
+    for trial in range(6):
+        circuit = _evolution_circuit(rng, n, length=6)
+        assert sum(g.factored_form() is not None for g in circuit.gates) >= 8
+        if trial % 2:
+            state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state /= np.linalg.norm(state)
+        else:  # from |0...0>, so qubits start idle
+            state = zero_state(n)
+        fast = apply_circuit(state, circuit)
+        slow = dense_circuit(circuit) @ state
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+
+def test_an_hhl_run_forms_no_evolution_matrix(monkeypatch):
+    def never(*args):
+        raise AssertionError("an evolution matrix was formed")
+
+    monkeypatch.setattr(circuit_module, "_evolution_matrix", never)
+    circuit, *_ = plan_hhl(benchmark_ring(257, 1008), HHLConfig(alpha=7))
+    state = apply_circuit(zero_state(circuit.num_qubits), circuit)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+    evolution = next(g for g in circuit.gates if g.factored_form() is not None)
+    with pytest.raises(AssertionError, match="formed"):
+        evolution.inverse().u
+
+
+def test_a_basis_change_allocates_no_state_sized_temporary(rng):
+    # 8 targets, 9 controls: each basis change multiplies the whole 2^17 state,
+    # and a CNOT on a target makes the run leave the basis and enter it again.
+    v = _eigenbasis(rng, 256)
+    controls, targets = tuple(range(8, 17)), tuple(range(8))
+    family = controlled_evolutions(controls, targets, v, rng.uniform(-9, 9, size=(9, 256)))
+    gates = [h(q) for q in range(17)] + family + [Cnot(9, 3)] + [g.inverse() for g in family]
+    circuit, state = Circuit(17, gates), zero_state(17)
+    tracemalloc.start()
+    try:
+        apply_circuit(state, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The copy and the two scratch buffers (2 MiB each), numpy's fixed ufunc
+    # buffers (up to 3 x 8192 amplitudes, 384 KiB) on a strided phase multiply,
+    # and a little more; a product into a new array would add at least the
+    # control-1 half of the state, 1 MiB.
+    assert peak < 3 * state.nbytes + 3 * 8192 * 16 + 2**16
 
 
 def _sparse_gates(rng, n: int) -> list:
@@ -283,6 +382,9 @@ def test_time_simulate_script_runs():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("plan_hhl + apply_circuit") == 3
     assert done.stdout.count("apply_circuit from |0...0>") == 3
+    peaks = [float(line.split()[-2]) for line in done.stdout.splitlines()
+             if line.startswith("  tracemalloc peak, plan + simulate ")]
+    assert len(peaks) == 3 and all(0 < peak < 64 for peak in peaks), peaks
     for layer in ("parse_network", "build_reduced_system", "network_stats", "solve_dc",
                   "build_qpe", "build_hhl_circuit"):
         assert done.stdout.count(f"  {layer} ") == 3, layer
